@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     th.add_argument("--delta21-to", dest="delta21_to", type=float, required=True, help="detuning window stop (scaled)")
     th.add_argument("--alpha-beta-from", dest="alpha_beta_from", type=float, required=True, help="alpha*beta window start (scaled)")
     th.add_argument("--alpha-beta-to", dest="alpha_beta_to", type=float, required=True, help="alpha*beta window stop (scaled)")
-    th.add_argument("--resolution", type=int, default=256, help="grid resolution per axis (>= 16, default 256)")
+    th.add_argument("--resolution", type=int, default=256, help="number of delta21 grid points (>= 16, default 256)")
     th.add_argument("-o", "--output", required=True, help="output CSV path (branch_id,delta21,alpha_beta)")
 
     ev = subs.add_parser("evolve", help="integrate the coupled-mode equations, write trajectory CSV")

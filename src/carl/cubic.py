@@ -141,8 +141,8 @@ def _ldexp(x: float, k: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _polish_real(x: float, b: float, c: float, d: float) -> float:
-    # <= 3 guarded Newton steps on the monic polynomial
+def _polish(x, b: float, c: float, d: float):
+    # <= 3 guarded Newton steps on the monic polynomial, at a real or complex x
     f = ((x + b) * x + c) * x + d
     for _ in range(3):
         if f == 0.0:
@@ -156,22 +156,6 @@ def _polish_real(x: float, b: float, c: float, d: float) -> float:
             break
         x, f = xn, fn
     return x
-
-
-def _polish_complex(z: complex, b: float, c: float, d: float) -> complex:
-    f = ((z + b) * z + c) * z + d
-    for _ in range(3):
-        if f == 0.0:
-            break
-        fp = (3.0 * z + 2.0 * b) * z + c
-        if fp == 0.0:
-            break
-        zn = z - f / fp
-        fn = ((zn + b) * zn + c) * zn + d
-        if abs(fn) >= abs(f):
-            break
-        z, f = zn, fn
-    return z
 
 
 def solve_cubic(cubic: RealCubic) -> CubicRoots:
@@ -202,7 +186,7 @@ def solve_cubic(cubic: RealCubic) -> CubicRoots:
         arg = min(1.0, max(-1.0, 3.0 * q / (p * m)))
         theta = math.acos(arg) / 3.0
         ts = [m * math.cos(theta - 2.0 * math.pi * j / 3.0) for j in range(3)]
-        reals = [_polish_real(t + shift, b, c, d) for t in ts]
+        reals = [_polish(t + shift, b, c, d) for t in ts]
     elif disc < 0.0:
         # one real root and a conjugate pair; the radicand is rounded apart
         # from disc and can dip below 0 next to a double root
@@ -211,9 +195,9 @@ def solve_cubic(cubic: RealCubic) -> CubicRoots:
         t_big = -q / 2.0 - math.copysign(s, q) if q != 0.0 else s
         u = _cbrt(t_big)
         v = 0.0 if u == 0.0 else -p / (3.0 * u)
-        reals = [_polish_real(u + v + shift, b, c, d)]
+        reals = [_polish(u + v + shift, b, c, d)]
         z = complex(-(u + v) / 2.0 + shift, math.sqrt(3.0) / 2.0 * abs(u - v))
-        z = _polish_complex(z, b, c, d)
+        z = _polish(z, b, c, d)
         pair = complex(z.real, abs(z.imag))  # mirror convention: +imag member first
     elif p == 0.0:
         reals = [shift] * 3  # triple root: q == 0 follows from disc == 0 and p == 0

@@ -21,14 +21,15 @@ the controls (delta21, alpha*beta, eta).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from carl.cubic import RealCubic, RootNature, classify, solve_cubic
-from carl.params import ScaledParams
+from carl.cubic import RealCubic, RootNature, _cbrt, classify, solve_cubic
+from carl.params import RAO, WAO, ScaledParams
 
 __all__ = [
     "SpectrumCase",
@@ -92,10 +93,6 @@ def eigen_spectrum(s: ScaledParams) -> Spectrum:
     return Spectrum(lambdas=lambdas, case=SpectrumCase.UNSTABLE, gamma=gamma, boundary=boundary)
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
 def gamma_rao_closed_form(delta21: float, alpha_beta: float) -> float:
     """Closed-form growth rate of the ray-atom-optics (eta = 0) regime.
 
@@ -125,6 +122,49 @@ def gamma_rao_closed_form(delta21: float, alpha_beta: float) -> float:
     return math.sqrt(3.0) / 2.0 * _cbrt(alpha_beta / 4.0) * abs(lobe)
 
 
+# Largest |delta21| the threshold functions accept: below it both roots of
+# threshold_lhs in alpha_beta (the larger is about 4|delta21|^3/27) and every
+# intermediate of _alpha_beta_roots stay finite.
+_DELTA21_MAX = 1e100
+# Range of alpha_beta critical_delta21 accepts: normal floats, so that its
+# indicator's division by alpha_beta cannot overflow, up to where its
+# quartic's constant term, 27 alpha_beta^2/4, stays finite.
+_ALPHA_BETA_MIN = sys.float_info.min
+_ALPHA_BETA_MAX = 1e150
+
+
+def _alpha_beta_roots(delta21, eta):
+    """Roots ``r1 >= 0 >= r2`` of :func:`threshold_lhs` as a quadratic in alpha*beta.
+
+    With ``u = delta21/3``, ``b = u(eta - u^2)`` and
+    ``r = sqrt(eta/27)|1 - 9u^2|``, the indicator is ``ab^2/4 + b ab - r^2``,
+    so with ``h = hypot(b, r)`` the roots are ``r1 = 2(h - b)`` and
+    ``r2 = -2(h + b)``. Of the two, the one that would cancel is taken from
+    ``r1 r2 = -4r^2`` instead (``r1 = 2r^2/(h + b)`` when ``b > 0``), and
+    ``1 - 9u^2`` is formed as ``(1 - delta21)(1 + delta21)``, so both roots
+    are accurate to a few ulps, also next to the recoil resonance.
+    Accepts scalars or arrays; returns arrays.
+    """
+    if eta not in (RAO, WAO):
+        raise ValueError(f"eta must be 0 (RAO) or 1 (WAO), got {eta!r}")
+    d = np.asarray(delta21, dtype=float)
+    in_range = np.abs(d) <= _DELTA21_MAX
+    if not np.all(in_range):
+        bad = float(d.flat[np.argmin(in_range)])
+        raise ValueError(
+            f"delta21 = {bad!r} is out of range: |delta21| must be <= {_DELTA21_MAX:g}, "
+            "beyond which the roots of threshold_lhs in alpha_beta overflow"
+        )
+    u = d / 3.0
+    b = u * (eta - u * u)
+    r = math.sqrt(eta / 27.0) * np.abs((1.0 - d) * (1.0 + d))
+    half_big = np.hypot(b, r) + np.abs(b)
+    big = 2.0 * half_big
+    small = 2.0 * r * np.divide(r, half_big, out=np.zeros_like(r), where=r > 0.0)
+    positive = b > 0.0
+    return np.where(positive, small, big), np.where(positive, -big, -small)
+
+
 def threshold_lhs(delta21, alpha_beta, eta):
     """Instability indicator: positive exactly where the spectrum is unstable.
 
@@ -136,59 +176,37 @@ def threshold_lhs(delta21, alpha_beta, eta):
     For eta = 0 this reduces to ``(ab/2)^2 - ab*delta21^3/27``, positive iff
     ``ab > 4*delta21^3/27``; for eta = 1, delta21 = 0 it is
     ``(ab/2)^2 - 1/27``, positive iff ``ab > 2/(3*sqrt(3))``. Accepts scalars
-    or numpy arrays.
+    or numpy arrays and returns numpy values.
+
+    It is evaluated in the factored form ``(ab - r1)(ab - r2)/4`` over the
+    roots of the quadratic in alpha*beta, so no finite input gives NaN. A
+    value beyond the float range saturates to +-inf with its sign kept, and
+    a tiny one can underflow to +-0: at ``(0, 1e-200, RAO)`` it is 0 although
+    the spectrum is unstable. :func:`critical_alpha_beta` is the scale-safe
+    sign test. ``|delta21| > 1e100`` raises ``ValueError``.
     """
-    u = delta21 / 3.0
-    ring = 1.0 - 9.0 * u * u
-    return (alpha_beta / 2.0) ** 2 + alpha_beta * u * (eta - u * u) - eta * ring * ring / 27.0
+    r1, r2 = _alpha_beta_roots(delta21, eta)
+    half = 0.5 * np.asarray(alpha_beta, dtype=float)
+    with np.errstate(over="ignore"):
+        return (half - 0.5 * r1) * (half - 0.5 * r2)
 
 
-def critical_alpha_beta(
-    delta21: float,
-    eta: int,
-    *,
-    tol: float = 1e-10,
-    scan_floor: float = 1e-13,
-) -> Optional[float]:
+def critical_alpha_beta(delta21: float, eta: int) -> Optional[float]:
     """Smallest alpha*beta at which instability sets in at fixed detuning.
 
-    Found by bracketing the sign change of :func:`threshold_lhs` in
-    alpha*beta and bisecting to absolute accuracy ``tol``. Returns ``None``
-    when the system is unstable for every alpha*beta > 0 (for example
-    eta = 0 with delta21 <= 0, or eta = 1 at the recoil resonance
-    delta21 = 1): there is then no finite positive threshold.
+    The nonnegative root of :func:`threshold_lhs` as a quadratic in
+    alpha*beta, in closed form: with ``u = delta21/3``,
+    ``b = u(eta - u^2)``, ``r = sqrt(eta/27)|1 - 9u^2|`` and
+    ``h = hypot(b, r)`` it is ``2(h - b)``, evaluated as ``2r^2/(h + b)``
+    when ``b > 0``. It is accurate to a few ulps at every scale, also as it
+    goes to 0 next to the recoil resonance. Returns ``None`` when the
+    system is unstable for every alpha*beta > 0 (for example eta = 0 with
+    delta21 <= 0, or eta = 1 at the recoil resonance delta21 = 1): there is
+    then no finite positive threshold. ``|delta21| > 1e100`` raises
+    ``ValueError``.
     """
-
-    def f(ab):
-        return threshold_lhs(delta21, ab, eta)
-
-    hi = 1.0
-    for _ in range(80):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - lhs grows quadratically in alpha_beta
-        raise RuntimeError("no unstable alpha_beta found; threshold_lhs should grow quadratically")
-
-    lo = None
-    x = hi / 2.0
-    while x >= scan_floor:
-        if f(x) <= 0.0:
-            lo = x
-            break
-        x /= 2.0
-    if lo is None:
-        return None
-
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    r1 = float(_alpha_beta_roots(delta21, eta)[0])
+    return None if r1 == 0.0 else r1
 
 
 def critical_delta21(
@@ -196,39 +214,66 @@ def critical_delta21(
     eta: int,
     *,
     window: Tuple[float, float] = (-10.0, 20.0),
-    step: float = 1e-3,
-    tol: float = 1e-10,
 ) -> List[float]:
     """All detunings where the stability class flips, at fixed alpha*beta.
 
-    Scans :func:`threshold_lhs` over ``window`` with the given step and
-    refines every sign change by bisection to absolute accuracy ``tol``.
-    These are the gain-band edges of a growth-rate-versus-detuning curve.
-    Returns an ascending (possibly empty) list.
+    These are the gain-band edges of a growth-rate-versus-detuning curve:
+    the real roots of ``27*threshold_lhs`` as a polynomial in delta21 across
+    which it changes sign. For eta = 0 that is ``27ab^2/4 - ab d^3``, with
+    the single root ``(27ab/4)^(1/3)``. For eta = 1 it is the quartic
+    ``-d^4 - ab d^3 + 2d^2 + 9ab d + 27ab^2/4 - 1``: ``numpy.roots`` gives
+    starting points, a guarded Newton iteration polishes them and only the
+    roots with opposite signs of the indicator on either side are kept, so a
+    gain band of any width is found. ``window`` filters the result. Returns
+    an ascending (possibly empty) list.
     """
-    if alpha_beta <= 0.0:
-        raise ValueError(f"alpha_beta must be > 0, got {alpha_beta}")
+    if not _ALPHA_BETA_MIN <= alpha_beta <= _ALPHA_BETA_MAX:
+        raise ValueError(f"alpha_beta must be in [{_ALPHA_BETA_MIN:g}, {_ALPHA_BETA_MAX:g}], got {alpha_beta}")
+    if eta not in (RAO, WAO):
+        raise ValueError(f"eta must be 0 (RAO) or 1 (WAO), got {eta!r}")
     lo_w, hi_w = window
-    if not (hi_w > lo_w and step > 0.0):
-        raise ValueError("window must be increasing and step positive")
+    if not -_DELTA21_MAX <= lo_w < hi_w <= _DELTA21_MAX:
+        raise ValueError(f"window must be increasing and inside |delta21| <= {_DELTA21_MAX:g}, got {window}")
+    ab = float(alpha_beta)
+    if eta == RAO:
+        edges = [3.0 * _cbrt(ab / 4.0)]
+    else:
+        edges = _wao_edges(ab)
+    return [e for e in edges if lo_w <= e <= hi_w]
 
-    n = int(math.ceil((hi_w - lo_w) / step)) + 1
-    grid = np.linspace(lo_w, hi_w, n)
-    values = threshold_lhs(grid, alpha_beta, eta)
-    signs = values > 0.0
 
-    edges: List[float] = []
-    for i in np.nonzero(signs[:-1] != signs[1:])[0]:
-        lo, hi = float(grid[i]), float(grid[i + 1])
-        f_lo = float(values[i])
-        for _ in range(200):
-            if hi - lo <= tol:
+def _wao_edges(ab: float) -> List[float]:
+    """Ascending detunings where the eta = 1 class flips at alpha*beta = ab."""
+
+    def indicator(d):
+        # threshold_lhs / ab: same sign and roots, but it does not underflow
+        # where ab and the band width are tiny
+        r1, r2 = _alpha_beta_roots(d, WAO)
+        return (ab - r1) * ((ab - r2) / (4.0 * ab))
+
+    # numpy.roots can return two roots closer than it resolves as a complex
+    # pair with a small imaginary part; starting on both sides of the pair
+    # lets Newton reach each root from outside it. Above ab ~ 1e30 it loses
+    # the smaller roots to the one near -ab; the large-ab asymptotes of the
+    # two edges, -ab and (27ab/4)^(1/3), are started from as well.
+    z = np.roots([1.0, ab, -2.0, -9.0 * ab, 1.0 - 6.75 * ab * ab])
+    z = z[np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z))]
+    x = np.concatenate([z.real - np.abs(z.imag), z.real + np.abs(z.imag), [-ab, 3.0 * _cbrt(ab / 4.0)]])
+    x = np.clip(x, -_DELTA21_MAX, _DELTA21_MAX)
+    with np.errstate(all="ignore"):
+        f = indicator(x)
+        for _ in range(100):
+            slope = (9.0 - 3.0 * x * x + 4.0 * x * (1.0 - x) * (1.0 + x) / ab) / 27.0
+            xn = np.clip(x - f / slope, -_DELTA21_MAX, _DELTA21_MAX)
+            xn = np.where(np.isfinite(xn), xn, x)
+            fn = indicator(xn)
+            better = np.abs(fn) < np.abs(f)
+            if not better.any():
                 break
-            mid = 0.5 * (lo + hi)
-            f_mid = float(threshold_lhs(mid, alpha_beta, eta))
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                lo = mid
-            else:
-                hi = mid
-        edges.append(0.5 * (lo + hi))
-    return edges
+            x, f = np.where(better, xn, x), np.where(better, fn, f)
+        # keep a root where the indicator has opposite signs at the probes on
+        # either side of it: midway to its neighbours, or the ends of the range
+        x = np.unique(x)
+        probes = np.concatenate([[-_DELTA21_MAX], 0.5 * (x[:-1] + x[1:]), [_DELTA21_MAX]])
+        unstable = indicator(probes) > 0.0
+    return [float(e) for e in x[unstable[:-1] != unstable[1:]]]

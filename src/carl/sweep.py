@@ -2,9 +2,15 @@
 
 Everything here evaluates the spectrum module over grids and tabulates the
 results in a fixed, deterministic order so that identical inputs produce
-byte-identical CSV/JSON files. Grid points are independent; when the
-environment variable ``CARL_THREADS`` allows it they are evaluated by a
+byte-identical CSV/JSON files. Gain-curve grid points are independent; when
+the environment variable ``CARL_THREADS`` allows it they are evaluated by a
 thread pool, but results are always gathered in grid order.
+
+The threshold map needs no root finding on a grid: the stability boundary is
+the graph of the closed-form critical alpha*beta over delta21 (the
+nonnegative root of the discriminant, a quadratic in alpha*beta), evaluated
+in whole arrays, with the exact points where it crosses the edges of the
+alpha*beta window added as vertices.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from carl._version import __version__
 from carl.dynamics import NonExponentialFitError, TrajectoryState, evolve, fit_growth_rate
 from carl.params import RAO, WAO, ScaledParams
-from carl.spectrum import Spectrum, eigen_spectrum, threshold_lhs
+from carl.spectrum import Spectrum, _alpha_beta_roots, critical_delta21, eigen_spectrum
 
 __all__ = [
     "SweepSpec",
@@ -241,67 +247,8 @@ def mass_study(
 
 
 # ---------------------------------------------------------------------------
-# threshold boundary: marching squares over threshold_lhs with bisection
-# refinement of every vertex
+# threshold boundary: the graph of the closed-form critical alpha*beta
 # ---------------------------------------------------------------------------
-
-# segment table: cell corner code (bit0 = (i,j), bit1 = (i+1,j),
-# bit2 = (i+1,j+1), bit3 = (i,j+1); bit set where lhs > 0) -> pairs of local
-# edges S/E/N/W carrying one crossing each. Saddle codes 5 and 10 are
-# resolved with the cell-center sign at lookup time.
-_SEGMENTS = {
-    0: [],
-    1: [("W", "S")],
-    2: [("S", "E")],
-    3: [("W", "E")],
-    4: [("E", "N")],
-    6: [("S", "N")],
-    7: [("W", "N")],
-    8: [("W", "N")],
-    9: [("S", "N")],
-    11: [("E", "N")],
-    12: [("W", "E")],
-    13: [("S", "E")],
-    14: [("W", "S")],
-    15: [],
-}
-
-
-def _edge_key(kind: str, i: int, j: int) -> Tuple[str, int, int]:
-    return (kind, i, j)
-
-
-def _cell_edges(i: int, j: int) -> Dict[str, Tuple[str, int, int]]:
-    return {
-        "S": _edge_key("x", i, j),
-        "N": _edge_key("x", i, j + 1),
-        "W": _edge_key("y", i, j),
-        "E": _edge_key("y", i + 1, j),
-    }
-
-
-def _refine_edge(key, xs, ys, values, eta, tol):
-    kind, i, j = key
-    if kind == "x":
-        lo, hi = float(xs[i]), float(xs[i + 1])
-        f_lo = float(values[i, j])
-        line = lambda t: float(threshold_lhs(t, float(ys[j]), eta))
-    else:
-        lo, hi = float(ys[j]), float(ys[j + 1])
-        f_lo = float(values[i, j])
-        line = lambda t: float(threshold_lhs(float(xs[i]), t, eta))
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if (line(mid) > 0.0) == (f_lo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    if kind == "x":
-        return (t, float(ys[j]))
-    return (float(xs[i]), t)
 
 
 def threshold_map(
@@ -309,100 +256,41 @@ def threshold_map(
     alpha_beta_range: Tuple[float, float],
     eta: int,
     resolution: int = 256,
-    *,
-    refine_tol: float = 1e-8,
 ) -> List[np.ndarray]:
     """Stability-boundary polylines in the (delta21, alpha_beta) plane.
 
-    Marching squares on the sign of :func:`threshold_lhs` over a
-    ``resolution x resolution`` grid; every polyline vertex is then refined
-    by one-dimensional bisection along its grid edge to ``refine_tol``.
-    Returns a list of (n, 2) arrays with columns (delta21, alpha_beta),
-    deterministically ordered. The list is empty when no boundary crosses
-    the window.
+    The boundary is the graph of the critical alpha*beta as a function of
+    delta21 (see :func:`carl.spectrum.critical_alpha_beta`), the nonnegative
+    root of :func:`carl.spectrum.threshold_lhs` as a quadratic in alpha*beta. It is
+    evaluated in closed form on ``resolution`` equally spaced detunings, and
+    the exact points where it crosses the lower and upper edges of
+    ``alpha_beta_range`` (from :func:`carl.spectrum.critical_delta21`) are
+    added as vertices, so a piece narrower than one grid cell is still
+    found. The curve is split into branches wherever it leaves the window.
+    Every vertex lies on the boundary up to rounding.
+
+    Returns a list of (n, 2) arrays with columns (delta21, alpha_beta):
+    branches in ascending delta21, and the vertices of each in ascending
+    delta21. The list is empty when no boundary crosses the window.
     """
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16, got {resolution}")
-    if eta not in (RAO, WAO):
-        raise ValueError(f"eta must be 0 or 1, got {eta!r}")
     x_lo, x_hi = delta21_range
     y_lo, y_hi = alpha_beta_range
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ValueError("ranges must be increasing")
 
-    xs = np.linspace(x_lo, x_hi, resolution)
-    ys = np.linspace(y_lo, y_hi, resolution)
-    values = threshold_lhs(xs[:, None], ys[None, :], eta)
-    positive = values > 0.0
-
-    adjacency: Dict[Tuple[str, int, int], List[Tuple[str, int, int]]] = {}
-
-    def connect(a, b):
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-
-    for i in range(resolution - 1):
-        for j in range(resolution - 1):
-            code = (
-                int(positive[i, j])
-                | int(positive[i + 1, j]) << 1
-                | int(positive[i + 1, j + 1]) << 2
-                | int(positive[i, j + 1]) << 3
-            )
-            if code in (0, 15):
-                continue
-            edges = _cell_edges(i, j)
-            if code in (5, 10):
-                center = float(
-                    values[i, j] + values[i + 1, j] + values[i + 1, j + 1] + values[i, j + 1]
-                )
-                if code == 5:
-                    pairs = [("S", "E"), ("W", "N")] if center > 0 else [("W", "S"), ("E", "N")]
-                else:
-                    pairs = [("W", "S"), ("E", "N")] if center > 0 else [("S", "E"), ("W", "N")]
-            else:
-                pairs = _SEGMENTS[code]
-            for a, b in pairs:
-                connect(edges[a], edges[b])
-
-    # chain segments into polylines: open chains first (from degree-1 edges),
-    # then closed loops; order deterministic via sorted starting keys
-    visited = set()
-    chains: List[List[Tuple[str, int, int]]] = []
-
-    def walk(start):
-        chain = [start]
-        visited.add(start)
-        prev = None
-        node = start
-        while True:
-            nxt = [n for n in adjacency[node] if n != prev and n not in visited]
-            if not nxt:
-                # allow closing a loop back to the start
-                if prev is not None and start in adjacency[node] and len(chain) > 2:
-                    chain.append(start)
-                break
-            prev, node = node, sorted(nxt)[0]
-            chain.append(node)
-            visited.add(node)
-        return chain
-
-    degree_one = sorted(k for k, nbrs in adjacency.items() if len(nbrs) == 1)
-    for key in degree_one:
-        if key not in visited:
-            chains.append(walk(key))
-    for key in sorted(adjacency):
-        if key not in visited:
-            chains.append(walk(key))
-
-    refined_cache: Dict[Tuple[str, int, int], Tuple[float, float]] = {}
-
-    def refined(key):
-        if key not in refined_cache:
-            refined_cache[key] = _refine_edge(key, xs, ys, values, eta, refine_tol)
-        return refined_cache[key]
-
-    return [np.array([refined(k) for k in chain]) for chain in chains]
+    crossings = [critical_delta21(y, eta, window=(x_lo, x_hi)) for y in (y_lo, y_hi) if y > 0.0]
+    xs = np.unique(np.concatenate([np.linspace(x_lo, x_hi, resolution), *crossings]))
+    ys = _alpha_beta_roots(xs, eta)[0]
+    # the curve leaves the window only at a crossing, which is a vertex, so
+    # between two neighbouring vertices it is inside iff it is at the midpoint
+    mid = _alpha_beta_roots(0.5 * (xs[:-1] + xs[1:]), eta)[0]
+    inside = (mid >= y_lo) & (mid <= y_hi)
+    # runs of consecutive inside segments; run k spans vertices starts[k]..ends[k]
+    edges = np.diff(np.concatenate([[0], inside.astype(np.int8), [0]]))
+    starts, ends = np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]
+    return [np.column_stack([xs[a : b + 1], ys[a : b + 1]]) for a, b in zip(starts, ends)]
 
 
 # ---------------------------------------------------------------------------

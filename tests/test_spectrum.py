@@ -190,6 +190,27 @@ class TestThresholdLhs:
         assert out.shape == d.shape
         assert float(out[0]) == pytest.approx(float(threshold_lhs(float(d[0]), 1.0, 1)))
 
+    def test_huge_alpha_beta_saturates_without_overflow_error(self):
+        # the unfactored form raised OverflowError on Python floats here
+        assert threshold_lhs(1.0, 1e300, WAO) == np.inf
+        assert threshold_lhs(1.0, -1e300, RAO) == np.inf
+
+    def test_huge_detuning_is_a_named_error(self):
+        # the unfactored form returned NaN at delta21 = -1e200
+        with pytest.raises(ValueError, match=r"delta21 = -1e\+200 .*1e\+100"):
+            threshold_lhs(-1e200, 1.0, WAO)
+        with pytest.raises(ValueError, match="delta21"):
+            critical_alpha_beta(np.inf, RAO)
+
+    def test_no_nan_on_log_uniform_draws(self):
+        rng = np.random.default_rng(8)
+        n = 20000
+        d = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 100, n)
+        ab = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 150, n)
+        for eta in (RAO, WAO):
+            values = threshold_lhs(d, ab, eta)
+            assert not np.any(np.isnan(values))
+
 
 class TestCriticalAlphaBeta:
     def test_wao_zero_detuning(self):
@@ -210,6 +231,13 @@ class TestCriticalAlphaBeta:
         # at delta21 = -1 the lhs is x^2/4 - (8/27) x: crossing at 32/27
         value = critical_alpha_beta(-1.0, WAO)
         assert value == pytest.approx(32.0 / 27.0, abs=1e-9)
+
+    def test_relative_accuracy_next_to_recoil_resonance(self):
+        # an absolute bisection tolerance of 1e-10 returned 2.96e-11 here
+        value = critical_alpha_beta(1.0 + 1e-6, WAO)
+        assert value == pytest.approx(5.000001249621916e-13, rel=1e-6)
+        # a scan floor of 1e-13 returned None, though the threshold is 5e-15
+        assert critical_alpha_beta(1.0 + 1e-7, WAO) is not None
 
 
 class TestCriticalDelta21:
@@ -247,6 +275,23 @@ class TestCriticalDelta21:
         with pytest.raises(ValueError):
             critical_delta21(0.0, WAO)
 
+    def test_rejects_ab_outside_normal_range(self):
+        # a subnormal alpha_beta would lose the WAO band edges to overflow
+        with pytest.raises(ValueError, match="alpha_beta"):
+            critical_delta21(1e-310, WAO)
+        with pytest.raises(ValueError, match="alpha_beta"):
+            critical_delta21(1e200, RAO)
+
+    def test_band_narrower_than_old_scan_step_off_grid(self):
+        # a 1e-3 scan found this band only when 1.0 was one of its nodes
+        edges = critical_delta21(1e-8, WAO, window=(-10.0005, 20.0005))
+        assert len(edges) == 2
+        assert edges[0] < 1.0 < edges[1]
+        for edge in edges:
+            below = eigen_spectrum(from_product(edge - 1e-6, 1e-8, WAO)).case
+            above = eigen_spectrum(from_product(edge + 1e-6, 1e-8, WAO)).case
+            assert below is not above
+
 
 class TestModuleProperties:
     def test_wao_gain_band_second_threshold(self):
@@ -264,6 +309,34 @@ class TestModuleProperties:
             ab = rng.uniform(0.01, 20)
             numeric = eigen_spectrum(from_product(d, ab, RAO)).gamma
             assert abs(gamma_rao_closed_form(d, ab) - numeric) <= 1e-8
+
+
+def test_log_uniform_spectrum_matches_closed_form_threshold():
+    """Finite eigenvalues whose class matches the closed-form threshold, or a named error.
+
+    |delta21| and alpha*beta span 300 decades; boundary-flagged points carry
+    no class to compare.
+    """
+    rng = np.random.default_rng(21)
+    n = 4000
+    checked = 0
+    for _ in range(n):
+        d = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-150, 150))
+        ab = float(10.0 ** rng.uniform(-150, 150))
+        eta = int(rng.integers(0, 2))
+        try:
+            sp = eigen_spectrum(from_product(d, ab, eta))
+            threshold = critical_alpha_beta(d, eta)
+        except ValueError:
+            continue
+        assert all(np.isfinite(lam) for lam in sp.lambdas), (d, ab, eta, sp)
+        assert np.isfinite(sp.gamma), (d, ab, eta, sp)
+        if sp.boundary:
+            continue
+        unstable = ab > (threshold or 0.0)
+        assert (sp.case is SpectrumCase.UNSTABLE) == unstable, (d, ab, eta, sp, threshold)
+        checked += 1
+    assert checked >= n // 4
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

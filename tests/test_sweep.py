@@ -179,6 +179,22 @@ class TestThresholdMap:
             # bisected to 1e-8 along one axis; lhs gradient is O(1..10) here
             assert float(values.max()) <= 1e-5
 
+    def test_sub_cell_branches_beside_recoil_resonance(self):
+        # both pieces of the curve inside the window are narrower than a cell
+        lines = threshold_map((-2.0, 6.0), (1e-6, 1e-4), WAO, resolution=16)
+        assert len(lines) == 2
+        left, right = lines
+        assert np.all(left[:, 0] < 1.0) and np.all(right[:, 0] > 1.0)
+        assert np.all(np.abs(np.concatenate(lines)[:, 0] - 1.0) < 0.02)
+
+    def test_vertices_satisfy_unfactored_lhs(self):
+        for eta, ab_range in ((RAO, (0.01, 10.0)), (WAO, (0.01, 10.0)), (WAO, (1e-6, 40.0))):
+            for l in threshold_map((-4.0, 6.0), ab_range, eta, resolution=128):
+                d, ab = l[:, 0], l[:, 1]
+                u = d / 3.0
+                lhs = (ab / 2.0) ** 2 + ab * u * (eta - u * u) - eta * (1.0 - 9.0 * u * u) ** 2 / 27.0
+                assert np.all(np.abs(lhs) <= 1e-12 * (1.0 + ab * ab))
+
     def test_empty_window(self):
         # deep inside the stable region: no boundary
         lines = threshold_map((4.0, 6.0), (0.01, 0.1), RAO, resolution=32)

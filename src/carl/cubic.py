@@ -37,6 +37,12 @@ DEFAULT_BOUNDARY_TOL = 1e-12
 _SAFE_LO = 2.0**-128
 _SAFE_HI = 2.0**128
 
+# A real root this many times larger than the other two leaves them to the
+# quadratic factor it deflates to. The discriminant is about the root spread
+# squared times smaller than its terms, so its sign is lost to rounding once
+# that nears 1/eps; at 2^20 it still has some 20 good bits.
+_SPREAD = 2.0**20
+
 
 class RootNature(Enum):
     """Root structure of a real cubic."""
@@ -172,6 +178,12 @@ def solve_cubic(cubic: RealCubic) -> CubicRoots:
     2006-07) and the roots scaled back. Powers of two make the substitution
     exact, so no p^3 or q^2 underflows to a spurious repeated root and none
     overflows to NaN. Ordinary inputs take k = 0 and are unaffected.
+
+    When one real root exceeds the other two by more than a factor 2^20,
+    the discriminant no longer tells their structure apart reliably: the
+    two are then taken from the quadratic factor ``x^2 + s1 x + s0`` left by
+    that root ``r0`` (``s0 = -d/r0``, ``s1 = (s0 - c)/r0``), which also sets
+    ``nature`` and ``discriminant``. Below that spread nothing changes.
     """
     b, c, d, k = _scaled_monic(cubic)
     p, q = _depressed(b, c, d)
@@ -210,6 +222,23 @@ def solve_cubic(cubic: RealCubic) -> CubicRoots:
         disc = _ldexp(disc, 6 * k)
         if pair is not None:
             pair = complex(_ldexp(pair.real, k), _ldexp(pair.imag, k))
+    r0 = max(reals, key=abs)
+    if r0 != 0.0 and (pair is None or abs(pair) < abs(r0)):
+        # x^3 + b x^2 + c x + d = (x - r0)(x^2 + s1 x + s0), by Vieta from
+        # c and d of the unscaled monic form, where the small roots survive
+        _, c0, d0 = cubic.monic()
+        s0 = -d0 / r0
+        s1 = (s0 - c0) / r0
+        if abs(r0) > _SPREAD * max(abs(s1), math.sqrt(abs(s0))):
+            h = -s1 / 2.0
+            dq = h * h - s0  # a quarter of the quadratic's discriminant
+            g = r0 * (r0 + s1) + s0  # (r0 - r1)(r0 - r2)
+            disc = 0.0 if dq == 0.0 else 4.0 * dq * g * g
+            if dq < 0.0:
+                reals, pair = [r0], complex(h, math.sqrt(-dq))
+            else:
+                t = h + math.copysign(math.sqrt(dq), h)
+                reals, pair = [r0, t, s0 / t if t else 0.0], None
     if pair is not None:
         if pair.imag > 0.0:
             roots = (complex(reals[0], 0.0), pair, pair.conjugate())

@@ -7,13 +7,19 @@ The state is the complex triple y = (A1, B, dB/dtau) obeying
     dBdot/dtau = alpha*A1 - eta*B
 
 i.e. ``dy/dtau = M y`` with the constant matrix :func:`system_matrix`.
-:func:`evolve` integrates with classic fixed-step RK4 (for a linear
-autonomous system the four stages collapse exactly to the degree-4 Taylor
-polynomial of ``exp(dt*M)``, which is how the stepper is implemented);
-:func:`propagator` provides the exact ``exp(tau*M)`` through the eigenvalues
-of the spectrum module, serving as an independent oracle. Exponential
-growth rates are extracted from trajectories by :func:`fit_growth_rate` and
-compared against the spectrum's gamma.
+:func:`evolve` integrates with classic fixed-step RK4. For a linear
+autonomous system the four stages collapse exactly to one matrix ``F``, the
+degree-4 Taylor polynomial of ``exp(dt*M)``, so every step is the same
+product. The stepper therefore works a block of steps at a time: with the
+powers ``F^k`` precomputed, one matrix-vector product gives all states of a
+block, and one more gives the step-doubling error estimate of each of its
+steps, which is the same per-step estimate a step-by-step loop would check
+(see Moler and Van Loan, "Nineteen dubious ways to compute the exponential
+of a matrix", SIAM Review, 2003). :func:`propagator` provides the exact
+``exp(tau*M)`` through the eigenvalues of the spectrum module, serving as an
+independent oracle. Exponential growth rates are extracted from
+trajectories by :func:`fit_growth_rate` and compared against the spectrum's
+gamma.
 """
 
 from __future__ import annotations
@@ -78,16 +84,20 @@ class TrajectoryState:
 class Trajectory:
     """Sampled evolution plus the parameters and step that produced it.
 
-    ``linearity_flag`` is the first sampled tau at which |B| exceeded 1;
-    beyond that point the linearized model no longer represents the physical
-    bunching (|B| <= 1 for any real density grating), although the linear
-    system itself remains well defined.
+    ``linearity_flag`` is the tau of the first step after which |B| exceeded
+    1; beyond that point the linearized model no longer represents the
+    physical bunching (|B| <= 1 for any real density grating), although the
+    linear system itself remains well defined. ``steps`` counts the RK4
+    steps taken (a shortened final step included) and ``max_step_error`` is
+    the largest step-doubling error estimate among them.
     """
 
     samples: Tuple[TrajectoryState, ...]
     params: ScaledParams
     dt: float
     linearity_flag: Optional[float] = None
+    steps: int = 0
+    max_step_error: float = 0.0
 
     def taus(self) -> np.ndarray:
         return np.array([s.tau for s in self.samples])
@@ -116,6 +126,55 @@ def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
     return eye + a + a2 / 2.0 + (a2 @ a) / 6.0 + (a2 @ a2) / 24.0
 
 
+# Steps taken per block of whole-array work in evolve: the powers F^k are
+# precomputed for k <= _BLOCK, a few tens of kilobytes.
+_BLOCK = 256
+
+
+def _step_powers(m: np.ndarray, h: float, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``F^j`` and ``(F - H^2) F^(j-1)`` for ``j = 1..k``, stacked row-wise.
+
+    ``F`` is the RK4 step matrix for a step ``h`` and ``H`` the one for
+    ``h/2``. Rows ``3(j-1)`` to ``3j - 1`` of the two ``(3k, 3)`` arrays,
+    applied to a state ``y``, give the state after ``j`` steps and the
+    step-doubling difference of the ``j``-th step, each in one matrix-vector
+    product for the whole block. The powers are built one factor at a time,
+    as the steps would apply them (built by repeated squaring they drift up
+    to 2e-12 from a step-by-step loop on an oscillating trajectory, one
+    factor at a time about 2e-13).
+    """
+    full = _rk4_step_matrix(m, h)
+    half = _rk4_step_matrix(m, h / 2.0)
+    p = np.empty((k + 1, 3, 3), dtype=complex)
+    p[0] = np.eye(3)
+    for j in range(k):
+        np.matmul(full, p[j], out=p[j + 1])
+    return p[1:].reshape(-1, 3), ((full - half @ half) @ p[:-1]).reshape(-1, 3)
+
+
+def _block(powers, errors, y, taus, h, error_tol):
+    """States after each of ``len(taus)`` steps of size ``h`` from ``y``.
+
+    Also returns the largest step-doubling estimate of the block and the tau
+    of its first step after which |B| > 1, or None. Raises
+    :class:`StepSizeRejection` at the first step whose estimate exceeds
+    ``error_tol``.
+    """
+    n = len(taus)
+    ys = (powers[: 3 * n] @ y).reshape(n, 3)
+    diff = (errors[: 3 * n] @ y).reshape(n, 3)
+    err = np.linalg.norm(diff, axis=1) / np.maximum(np.linalg.norm(ys, axis=1), 1e-300)
+    rejected = np.flatnonzero(err > error_tol)
+    if rejected.size:
+        k = rejected[0]
+        raise StepSizeRejection(
+            f"local error estimate {err[k]:.3g} exceeds {error_tol:.3g} at tau = {taus[k]:.6g} "
+            f"for dt = {h:.3g}; reduce dt"
+        )
+    over = np.flatnonzero(np.abs(ys[:, 1]) > 1.0)
+    return ys, float(err.max()), float(taus[over[0]]) if over.size else None
+
+
 def evolve(
     s: ScaledParams,
     init: TrajectoryState,
@@ -126,6 +185,14 @@ def evolve(
     error_tol: float = 1e-6,
 ) -> Trajectory:
     """Integrate from ``init`` to ``tau_end`` with fixed-step RK4.
+
+    Every step applies the same matrix ``F`` (the RK4 step for ``dt``), so
+    the steps are taken a block of up to 256 at a time: the states of a
+    block are ``F^k y`` for the block's starting state ``y``, formed in one
+    batched product with the precomputed powers ``F^k``. Each step's error
+    estimate is unchanged, ``|F y_k - H^2 y_k| / |F y_k|`` with ``H`` the
+    half step, and is checked for every step, as are the linearity flag and
+    the output samples.
 
     Parameters
     ----------
@@ -144,11 +211,14 @@ def evolve(
     error_tol : float
         Per-step relative error bound, estimated by step doubling (one full
         step against two half steps). Exceeding it raises
-        :class:`StepSizeRejection` with advice to reduce ``dt``.
+        :class:`StepSizeRejection` at the first step that does, with advice
+        to reduce ``dt``.
 
     Returns
     -------
     Trajectory
+        With ``steps`` taken and the largest error estimate of any step,
+        ``max_step_error``.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -164,43 +234,43 @@ def evolve(
         remainder = 0.0
 
     m = system_matrix(s)
-    step_full = _rk4_step_matrix(m, dt)
-    step_half = _rk4_step_matrix(m, dt / 2.0)
-    step_half2 = step_half @ step_half
-
     y = init.as_vector()
     samples: List[TrajectoryState] = [init]
     linearity_flag = None if abs(init.B) <= 1.0 else init.tau
+    max_err = 0.0
 
-    def advance(y, full, half2, h, tau_next):
-        nonlocal linearity_flag
-        y_full = full @ y
-        y_half = half2 @ y
-        scale = max(float(np.linalg.norm(y_full)), 1e-300)
-        err = float(np.linalg.norm(y_full - y_half)) / scale
-        if err > error_tol:
-            raise StepSizeRejection(
-                f"local error estimate {err:.3g} exceeds {error_tol:.3g} at tau = {tau_next:.6g} "
-                f"for dt = {h:.3g}; reduce dt"
-            )
-        if linearity_flag is None and abs(y_full[1]) > 1.0:
-            linearity_flag = tau_next
-        return y_full
-
-    for i in range(n_full):
-        tau_next = init.tau + (i + 1) * dt
-        y = advance(y, step_full, step_half2, dt, tau_next)
-        if (i + 1) % output_stride == 0 and not (i + 1 == n_full and remainder == 0.0):
-            samples.append(TrajectoryState(tau_next, complex(y[0]), complex(y[1]), complex(y[2])))
+    powers, errors = _step_powers(m, dt, min(_BLOCK, n_full))
+    for start in range(0, n_full, _BLOCK):
+        stop = min(start + _BLOCK, n_full)
+        taus = init.tau + np.arange(start + 1, stop + 1) * dt
+        ys, err, crossed = _block(powers, errors, y, taus, dt, error_tol)
+        max_err = max(max_err, err)
+        if linearity_flag is None:
+            linearity_flag = crossed
+        last = stop - 1 if stop == n_full and remainder == 0.0 else stop
+        for i in range((start // output_stride + 1) * output_stride, last + 1, output_stride):
+            yi = ys[i - start - 1]
+            samples.append(TrajectoryState(init.tau + i * dt, complex(yi[0]), complex(yi[1]), complex(yi[2])))
+        y = ys[-1]
 
     if remainder > 0.0:
-        short_full = _rk4_step_matrix(m, remainder)
-        short_half = _rk4_step_matrix(m, remainder / 2.0)
-        y = advance(y, short_full, short_half @ short_half, remainder, tau_end)
+        powers, errors = _step_powers(m, remainder, 1)
+        ys, err, crossed = _block(powers, errors, y, np.array([tau_end]), remainder, error_tol)
+        max_err = max(max_err, err)
+        if linearity_flag is None:
+            linearity_flag = crossed
+        y = ys[0]
 
     final_tau = init.tau + n_full * dt if remainder == 0.0 else tau_end
     samples.append(TrajectoryState(final_tau, complex(y[0]), complex(y[1]), complex(y[2])))
-    return Trajectory(samples=tuple(samples), params=s, dt=dt, linearity_flag=linearity_flag)
+    return Trajectory(
+        samples=tuple(samples),
+        params=s,
+        dt=dt,
+        linearity_flag=linearity_flag,
+        steps=n_full + int(remainder > 0.0),
+        max_step_error=max_err,
+    )
 
 
 def _expm_taylor(a: np.ndarray) -> np.ndarray:

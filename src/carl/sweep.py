@@ -2,9 +2,12 @@
 
 Everything here evaluates the spectrum module over grids and tabulates the
 results in a fixed, deterministic order so that identical inputs produce
-byte-identical CSV/JSON files. Gain-curve grid points are independent; when
-the environment variable ``CARL_THREADS`` allows it they are evaluated by a
-thread pool, but results are always gathered in grid order.
+byte-identical CSV/JSON files. Gain-curve grid points are independent and
+are evaluated one after the other. Setting the environment variable
+``CARL_THREADS`` to more than 1 evaluates them in a thread pool of that
+size instead, with results still gathered in grid order; the work holds the
+interpreter lock, so this is slower than the serial default (about twice
+as slow on 2 CPUs).
 
 The threshold map needs no root finding on a grid: the stability boundary is
 the graph of the closed-form critical alpha*beta over delta21 (the
@@ -59,7 +62,7 @@ def _worker_count() -> int:
         if n < 1:
             raise ValueError(f"CARL_THREADS must be >= 1, got {n}")
         return n
-    return os.cpu_count() or 1
+    return 1
 
 
 def _grid_map(func, items: Sequence) -> List:

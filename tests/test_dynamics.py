@@ -1,6 +1,8 @@
 """Time-domain integration tests against analytic limits and the propagator oracle."""
 
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from carl import (
     NonExponentialFitError,
     ScaledParams,
     StepSizeRejection,
+    Trajectory,
     TrajectoryState,
     eigen_spectrum,
     evolve,
@@ -19,6 +22,7 @@ from carl import (
     system_matrix,
     write_trajectory_csv,
 )
+from carl.dynamics import _BLOCK, _rk4_step_matrix
 
 SEED_STATE = TrajectoryState(tau=0.0, A1=1e-6 + 0j, B=0j, Bdot=0j)
 
@@ -237,3 +241,114 @@ class TestTrajectoryCsv:
         assert ",".join(rows.dtype.names) == lines[n_meta]
         assert len(rows) == len(traj.samples)
         assert rows["tau"][-1] == pytest.approx(0.5)
+
+
+def reference_evolve(s, init, tau_end, dt, output_stride, error_tol=1e-6):
+    """Step-by-step RK4, one matrix product per step.
+
+    Returns the sample taus, the sample states, the linearity flag and every
+    step's step-doubling error estimate.
+    """
+    span = tau_end - init.tau
+    n_full = int(math.floor(span / dt + 1e-9))
+    remainder = span - n_full * dt
+    steps = [(dt, init.tau + i * dt) for i in range(1, n_full + 1)]
+    if remainder >= 1e-9 * dt:
+        steps.append((remainder, tau_end))
+    m = system_matrix(s)
+    mats = {h: (_rk4_step_matrix(m, h), np.linalg.matrix_power(_rk4_step_matrix(m, h / 2.0), 2)) for h, _ in steps}
+    y = init.as_vector()
+    taus, states, errs = [init.tau], [y], []
+    flag = None if abs(init.B) <= 1.0 else init.tau
+    for i, (h, tau) in enumerate(steps, 1):
+        full, half2 = mats[h]
+        y_full = full @ y
+        errs.append(float(np.linalg.norm(y_full - half2 @ y)) / max(float(np.linalg.norm(y_full)), 1e-300))
+        if errs[-1] > error_tol:
+            raise StepSizeRejection(f"local error estimate {errs[-1]:.3g} exceeds {error_tol:.3g} at tau = {tau:.6g}")
+        if flag is None and abs(y_full[1]) > 1.0:
+            flag = tau
+        y = y_full
+        if i % output_stride == 0 or i == len(steps):
+            taus.append(tau)
+            states.append(y)
+    return taus, np.array(states), flag, errs
+
+
+def rejection_tau(excinfo):
+    return float(re.search(r"at tau = (\S+)", str(excinfo.value)).group(1))
+
+
+class TestBlockStepperMatchesStepByStep:
+    # n_full below the block length, an exact multiple of it, and a
+    # non-integer span of more than 1000 steps
+    SPANS = {"short": (100, 1e-3), "blocks": (3 * _BLOCK, 1e-3), "non_integer": (2500.5, 1e-3)}
+
+    @pytest.mark.parametrize("stride", [1, 7, 100, 1000])
+    @pytest.mark.parametrize("span", sorted(SPANS))
+    def test_samples_states_and_flag(self, span, stride):
+        steps, dt = self.SPANS[span]
+        p = ScaledParams.from_product(0.5, 1.0, WAO)
+        init = TrajectoryState(0.0, 1e-3 + 0j, 0j, 0j)
+        traj = evolve(p, init, tau_end=steps * dt, dt=dt, output_stride=stride)
+        taus, states, flag, errs = reference_evolve(p, init, steps * dt, dt, stride)
+        assert [s.tau for s in traj.samples] == taus
+        got = np.array([s.as_vector() for s in traj.samples])
+        rel = np.linalg.norm(got - states, axis=1) / np.linalg.norm(states, axis=1)
+        assert rel.max() <= 1e-12
+        assert traj.linearity_flag == flag
+        assert traj.steps == len(errs)
+        assert traj.max_step_error == pytest.approx(max(errs), rel=1e-9)
+
+    def test_linearity_flag_crossing_in_later_block(self):
+        p = ScaledParams.from_product(0.0, 1.0, WAO)
+        init = TrajectoryState(0.0, 1.0 + 0j, 0j, 0j)
+        traj = evolve(p, init, tau_end=3.0, dt=1e-3, output_stride=100)
+        _, _, flag, _ = reference_evolve(p, init, 3.0, 1e-3, 100)
+        assert flag is not None and flag > 2 * _BLOCK * 1e-3
+        assert traj.linearity_flag == flag
+
+    def test_rejection_after_first_block_at_reference_tau(self):
+        # stable WAO point: the estimate reaches new maxima only in the
+        # second block, so a tolerance between the running maximum and the
+        # next new maximum is first exceeded there
+        p = ScaledParams.from_product(2.5, 0.4, WAO)
+        dt, tau_end = 0.02, 40.0
+        _, _, _, errs = reference_evolve(p, SEED_STATE, tau_end, dt, 100, error_tol=math.inf)
+        running = np.maximum.accumulate(errs)
+        j = next(j for j in range(_BLOCK, len(errs)) if errs[j] > running[j - 1] * (1.0 + 1e-6))
+        tol = 0.5 * (running[j - 1] + errs[j])
+        with pytest.raises(StepSizeRejection) as ref:
+            reference_evolve(p, SEED_STATE, tau_end, dt, 100, error_tol=tol)
+        with pytest.raises(StepSizeRejection, match="reduce dt") as got:
+            evolve(p, SEED_STATE, tau_end=tau_end, dt=dt, error_tol=tol)
+        assert rejection_tau(got) == rejection_tau(ref) == pytest.approx((j + 1) * dt)
+
+
+class TestEvolveObservability:
+    def test_steps_and_max_step_error_with_remainder(self):
+        p = ScaledParams.from_product(0.0, 1.0, WAO)
+        traj = evolve(p, SEED_STATE, tau_end=1.0005, dt=1e-3, error_tol=1e-6)
+        assert traj.steps == 1000 + 1
+        assert 0.0 < traj.max_step_error <= 1e-6
+
+    def test_max_step_error_found_in_later_block(self):
+        # the estimate of this stable point peaks after the first block
+        p = ScaledParams.from_product(2.5, 0.4, WAO)
+        _, _, _, errs = reference_evolve(p, SEED_STATE, 40.0, 0.02, 100, error_tol=math.inf)
+        assert int(np.argmax(errs)) >= _BLOCK
+        traj = evolve(p, SEED_STATE, tau_end=40.0, dt=0.02, error_tol=math.inf)
+        assert traj.max_step_error == pytest.approx(max(errs), rel=1e-9)
+
+    def test_shortened_final_step_is_checked(self):
+        # a span shorter than dt is one shortened step, too long for the tolerance
+        p = ScaledParams.from_product(1.0, 5.0, WAO)
+        with pytest.raises(StepSizeRejection) as ref:
+            reference_evolve(p, SEED_STATE, 0.5, 0.8, 100)
+        with pytest.raises(StepSizeRejection, match="reduce dt") as got:
+            evolve(p, SEED_STATE, tau_end=0.5, dt=0.8)
+        assert rejection_tau(got) == rejection_tau(ref) == 0.5
+
+    def test_defaults_keep_old_constructor(self):
+        traj = Trajectory(samples=(SEED_STATE,), params=decoupled(WAO), dt=1e-3)
+        assert traj.steps == 0 and traj.max_step_error == 0.0

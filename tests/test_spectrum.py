@@ -98,6 +98,30 @@ class TestEigenSpectrum:
         assert sp.case is SpectrumCase.UNSTABLE
         assert sp.gamma == pytest.approx(gamma_rao_closed_form(0.0, 1e-200), rel=1e-12)
 
+    @pytest.mark.parametrize("d, eta", [(1e6, RAO), (1e9, RAO), (1e9, WAO), (1e20, WAO), (1e200, WAO)])
+    def test_large_detuning_is_stable_with_accurate_small_roots(self, d, eta):
+        # one root near d and two of order sqrt(ab/d) (RAO) or 1 (WAO): once
+        # the spread squared passes 1/eps the discriminant's sign is rounding
+        # (the first three read as case II; at 1e20 the small roots came out
+        # as +-7e10, at 1e200 as 0 and 0)
+        ab = 1.0
+        sp = eigen_spectrum(from_product(d, ab, eta))
+        assert sp.case is SpectrumCase.STABLE
+        assert sp.gamma == 0.0
+        xs = sorted((-1j * lam for lam in sp.lambdas), key=lambda x: x.real)  # lambda = i x
+        assert all(x.imag == 0.0 for x in xs)
+        assert xs[2].real == pytest.approx(d, rel=1e-12)
+        small = np.sqrt(ab / d) if eta == RAO else 1.0 + ab / (2.0 * d)
+        assert xs[0].real == pytest.approx(-small, rel=1e-9)
+        assert xs[1].real == pytest.approx(small, rel=1e-9)
+
+    def test_zero_alpha_beta_rao_double_root_is_stable(self):
+        # x^2 (x - 0.5): the double root came out as a pair with gamma 1.5e-10
+        sp = eigen_spectrum(from_product(0.5, 0.0, RAO))
+        assert sp.case is SpectrumCase.STABLE
+        assert sp.gamma == 0.0
+        assert sorted(abs(lam) for lam in sp.lambdas) == [0.0, 0.0, 0.5]
+
     def test_gamma_stable_under_tolerance_refinement(self):
         # classification tolerance does not feed the rate: same gamma at 10x stricter tol
         from carl.cubic import classify
@@ -337,6 +361,26 @@ def test_log_uniform_spectrum_matches_closed_form_threshold():
         assert (sp.case is SpectrumCase.UNSTABLE) == unstable, (d, ab, eta, sp, threshold)
         checked += 1
     assert checked >= n // 4
+
+
+def test_large_detuning_class_matches_closed_form_threshold_inside_boundary_band():
+    """Large |delta21| puts one root far from the other two, and the points land
+    in the boundary band, where the test above compares no class. Away from
+    the threshold itself the class must still be right.
+    """
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(2000):
+        d = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 100))
+        ab = float(10.0 ** rng.uniform(-10, 10))
+        eta = int(rng.integers(0, 2))
+        threshold = critical_alpha_beta(d, eta) or 0.0
+        if abs(ab - threshold) <= 1e-3 * max(ab, threshold):
+            continue
+        sp = eigen_spectrum(from_product(d, ab, eta))
+        assert (sp.case is SpectrumCase.UNSTABLE) == (ab > threshold), (d, ab, eta, sp, threshold)
+        checked += 1
+    assert checked >= 1900
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -320,6 +320,15 @@ class TestSerialization:
             assert abs(l1 * l2 * l3 - 1j * (2.0 + eta * rec.axis_value)) <= 1e-10
 
 
+def test_carl_threads_unset_or_blank_is_serial(monkeypatch):
+    from carl.sweep import _worker_count
+
+    monkeypatch.delenv("CARL_THREADS", raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setenv("CARL_THREADS", "  ")
+    assert _worker_count() == 1
+
+
 def test_carl_threads_env_respected(monkeypatch):
     spec = SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=101, fixed=1.0)
     base_buf = io.StringIO()

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from carl._io import PathOrFile, text_sink
 from carl.params import ScaledParams
 from carl.spectrum import eigen_spectrum
 
@@ -355,15 +356,14 @@ def fit_growth_rate(
     return float(slope)
 
 
-def write_trajectory_csv(traj: Trajectory, path_or_file: Union[str, IO[str]]) -> None:
+def write_trajectory_csv(traj: Trajectory, path_or_file: PathOrFile) -> None:
     """Write a trajectory as CSV.
 
     Columns: tau, re_A1, im_A1, abs_A1, re_B, im_B, abs_B, re_Bdot, im_Bdot.
     Parameters, step size and seed amplitude go into ``#`` comment lines
     ahead of the mandatory header row.
     """
-
-    def emit(f: IO[str]) -> None:
+    with text_sink(path_or_file) as f:
         p = traj.params
         seed = traj.samples[0]
         f.write(
@@ -387,9 +387,3 @@ def write_trajectory_csv(traj: Trajectory, path_or_file: Union[str, IO[str]]) ->
                 s.Bdot.imag,
             )
             f.write(",".join(format(x, ".17g") for x in row) + "\n")
-
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as f:
-            emit(f)
-    else:
-        emit(path_or_file)

@@ -72,7 +72,9 @@ class Spectrum:
 
 
 def _dispersion_cubic(delta21: float, alpha_beta: float, eta: int) -> RealCubic:
-    return RealCubic(1.0, -delta21, -float(eta), alpha_beta + eta * delta21)
+    # Python floats, which saturate to +-inf without numpy's overflow warnings
+    d, ab = float(delta21), float(alpha_beta)
+    return RealCubic(1.0, -d, -float(eta), ab + eta * d)
 
 
 def eigen_spectrum(s: ScaledParams) -> Spectrum:
@@ -106,9 +108,18 @@ def gamma_rao_closed_form(delta21: float, alpha_beta: float) -> float:
     where ``1 - sqrt(d) < 0``) is the branch that reproduces the numerical
     spectrum; principal complex powers do not. At or below threshold the
     rate is 0 by definition.
+
+    With ``s = sqrt(d)``, ``a = cbrt(1 + s)``, ``b = cbrt(1 - s)`` and
+    ``1 - s = (1 - d)/(1 + s)``, the lobe is ``a^2 - b^2 = 4s / ((a^2 + ab
+    + b^2)(a^2 - ab + b^2))``, so nothing cancels. Past ``1 - d < -1e100``,
+    where it may overflow, the rate is ``sqrt(alpha_beta/|delta21|)`` to
+    double precision. ``|delta21| > 1e100`` raises ``ValueError``.
     """
+    delta21, alpha_beta = float(delta21), float(alpha_beta)
     if not (math.isfinite(delta21) and math.isfinite(alpha_beta)):
         raise ValueError("delta21 and alpha_beta must be finite")
+    if abs(delta21) > _DELTA21_MAX:
+        raise _delta21_out_of_range(delta21)
     if alpha_beta < 0.0:
         raise ValueError(f"alpha_beta must be >= 0, got {alpha_beta}")
     if alpha_beta == 0.0:
@@ -116,10 +127,13 @@ def gamma_rao_closed_form(delta21: float, alpha_beta: float) -> float:
     threshold = 4.0 * delta21**3 / 27.0
     if alpha_beta <= threshold:
         return 0.0
-    d = 1.0 - threshold / alpha_beta  # > 0 above threshold
-    s = math.sqrt(d)
-    lobe = _cbrt(1.0 + s) ** 2 - _cbrt(1.0 - s) ** 2
-    return math.sqrt(3.0) / 2.0 * _cbrt(alpha_beta / 4.0) * abs(lobe)
+    if -threshold > 1e100 * alpha_beta:
+        return math.sqrt(alpha_beta) / math.sqrt(-delta21)
+    r = threshold / alpha_beta  # 1 - d, below 1 above threshold
+    s = math.sqrt(1.0 - r)
+    a, b = _cbrt(1.0 + s), _cbrt(r / (1.0 + s))
+    lobe = 4.0 * s / ((a * a + a * b + b * b) * (a * a - a * b + b * b))
+    return math.sqrt(3.0) / 2.0 * _cbrt(alpha_beta / 4.0) * lobe
 
 
 # Largest |delta21| the threshold functions accept: below it both roots of
@@ -131,6 +145,13 @@ _DELTA21_MAX = 1e100
 # quartic's constant term, 27 alpha_beta^2/4, stays finite.
 _ALPHA_BETA_MIN = sys.float_info.min
 _ALPHA_BETA_MAX = 1e150
+
+
+def _delta21_out_of_range(bad: float) -> ValueError:
+    return ValueError(
+        f"delta21 = {bad!r} is out of range: |delta21| must be <= {_DELTA21_MAX:g}, "
+        "beyond which the roots of threshold_lhs in alpha_beta overflow"
+    )
 
 
 def _alpha_beta_roots(delta21, eta):
@@ -150,11 +171,7 @@ def _alpha_beta_roots(delta21, eta):
     d = np.asarray(delta21, dtype=float)
     in_range = np.abs(d) <= _DELTA21_MAX
     if not np.all(in_range):
-        bad = float(d.flat[np.argmin(in_range)])
-        raise ValueError(
-            f"delta21 = {bad!r} is out of range: |delta21| must be <= {_DELTA21_MAX:g}, "
-            "beyond which the roots of threshold_lhs in alpha_beta overflow"
-        )
+        raise _delta21_out_of_range(float(d.flat[np.argmin(in_range)]))
     u = d / 3.0
     b = u * (eta - u * u)
     r = math.sqrt(eta / 27.0) * np.abs((1.0 - d) * (1.0 + d))

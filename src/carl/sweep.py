@@ -2,12 +2,7 @@
 
 Everything here evaluates the spectrum module over grids and tabulates the
 results in a fixed, deterministic order so that identical inputs produce
-byte-identical CSV/JSON files. Gain-curve grid points are independent and
-are evaluated one after the other. Setting the environment variable
-``CARL_THREADS`` to more than 1 evaluates them in a thread pool of that
-size instead, with results still gathered in grid order; the work holds the
-interpreter lock, so this is slower than the serial default (about twice
-as slow on 2 CPUs).
+byte-identical CSV/JSON files.
 
 The threshold map needs no root finding on a grid: the stability boundary is
 the graph of the closed-form critical alpha*beta over delta21 (the
@@ -20,13 +15,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, IO, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from carl._io import PathOrFile, text_sink, write_json
 from carl._version import __version__
 from carl.dynamics import NonExponentialFitError, TrajectoryState, evolve, fit_growth_rate
 from carl.params import RAO, WAO, ScaledParams
@@ -50,28 +44,6 @@ __all__ = [
 AXES = ("delta21", "alpha_beta")
 REGIMES = ("RAO", "WAO")  # canonical output order
 _REGIME_ETA = {"RAO": RAO, "WAO": WAO}
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("CARL_THREADS", "")
-    if raw.strip():
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"CARL_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ValueError(f"CARL_THREADS must be >= 1, got {n}")
-        return n
-    return 1
-
-
-def _grid_map(func, items: Sequence) -> List:
-    # deterministic gather: results ordered by grid index, never by completion
-    n = _worker_count()
-    if n <= 1 or len(items) < 64:
-        return [func(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(func, items))
 
 
 @dataclass(frozen=True)
@@ -171,8 +143,7 @@ def gain_curve(spec: SweepSpec, *, timestamp: Optional[str] = None) -> SweepResu
     for regime in REGIMES:
         if regime not in spec.regimes:
             continue
-        spectra = _grid_map(lambda v, _r=regime: eigen_spectrum(spec.point(float(v), _r)), grid)
-        records.extend(_record(v, regime, sp) for v, sp in zip(grid, spectra))
+        records.extend(_record(v, regime, eigen_spectrum(spec.point(float(v), regime))) for v in grid)
     meta = {"spec": spec.as_dict(), "version": __version__}
     if timestamp is not None:
         meta["timestamp"] = timestamp
@@ -214,21 +185,18 @@ def mass_study(
         for regime in REGIMES:
             if regime not in regimes:
                 continue
-            eta = _REGIME_ETA[regime]
-
-            def at_point(d0: float, _eta=eta) -> SweepRecord:
-                sp = eigen_spectrum(ScaledParams.from_product(ratio * d0, ab_scaled, _eta))
-                lambdas = tuple(lam / ratio for lam in sp.lambdas)
-                return SweepRecord(
-                    axis_value=float(d0),
-                    regime="RAO" if _eta == RAO else "WAO",
-                    gamma=sp.gamma / ratio,
-                    case=sp.case.value,
-                    lambdas=lambdas,
-                    boundary=sp.boundary,
+            for d0 in grid:
+                sp = eigen_spectrum(ScaledParams.from_product(ratio * d0, ab_scaled, _REGIME_ETA[regime]))
+                records.append(
+                    SweepRecord(
+                        axis_value=float(d0),
+                        regime=regime,
+                        gamma=sp.gamma / ratio,
+                        case=sp.case.value,
+                        lambdas=tuple(lam / ratio for lam in sp.lambdas),
+                        boundary=sp.boundary,
+                    )
                 )
-
-            records.extend(_grid_map(at_point, grid))
         meta = {
             "spec": {
                 "axis": "delta21",
@@ -351,6 +319,8 @@ def validate_sweep(
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     grid = spec.grid()
     regimes = [r for r in REGIMES if r in spec.regimes]
@@ -407,10 +377,9 @@ def _record_row(axis_name: str, rec: SweepRecord) -> List:
     return row
 
 
-def write_sweep_csv(result: SweepResult, path_or_file: Union[str, IO[str]]) -> None:
+def write_sweep_csv(result: SweepResult, path_or_file: PathOrFile) -> None:
     """Tabulate a sweep as CSV with ``#`` metadata lines and a header row."""
-
-    def emit(f: IO[str]) -> None:
+    with text_sink(path_or_file) as f:
         for key in sorted(result.meta):
             f.write(f"# {key}: {json.dumps(result.meta[key], sort_keys=True)}\n")
         f.write(_CSV_COLUMNS + "\n")
@@ -421,14 +390,8 @@ def write_sweep_csv(result: SweepResult, path_or_file: Union[str, IO[str]]) -> N
             ]
             f.write(",".join(cells) + "\n")
 
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as f:
-            emit(f)
-    else:
-        emit(path_or_file)
 
-
-def write_sweep_json(result: SweepResult, path_or_file: Union[str, IO[str]]) -> None:
+def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
     """Same records as the CSV writer, as one JSON document."""
     axis_name = result.meta.get("spec", {}).get("axis", "axis")
     doc = {
@@ -450,32 +413,20 @@ def write_sweep_json(result: SweepResult, path_or_file: Union[str, IO[str]]) -> 
             for rec in result.records
         ],
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        path_or_file.write(text)
+    write_json(doc, path_or_file)
 
 
 def write_polylines_csv(
     polylines: Sequence[np.ndarray],
-    path_or_file: Union[str, IO[str]],
+    path_or_file: PathOrFile,
     *,
     meta: Optional[Dict] = None,
 ) -> None:
     """Write threshold-boundary polylines as CSV (branch_id, delta21, alpha_beta)."""
-
-    def emit(f: IO[str]) -> None:
+    with text_sink(path_or_file) as f:
         for key in sorted(meta or {}):
             f.write(f"# {key}: {json.dumps(meta[key], sort_keys=True)}\n")
         f.write("branch_id,delta21,alpha_beta\n")
         for branch, line in enumerate(polylines):
             for x, y in line:
                 f.write(f"{branch},{format(x, '.17g')},{format(y, '.17g')}\n")
-
-    if isinstance(path_or_file, str):
-        with open(path_or_file, "w", encoding="utf-8") as f:
-            emit(f)
-    else:
-        emit(path_or_file)

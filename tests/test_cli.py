@@ -119,6 +119,77 @@ class TestConfigRoundTrip:
         assert code == 0
         assert flag_out.read_bytes() == cfg_out.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv, config, outputs",
+        [
+            (
+                "spectrum --delta21 0.5 --alpha-beta 1 --eta 1 -o spectrum.json",
+                {"mode": "spectrum", "scaled": {"delta21": 0.5, "alpha": 1.0, "beta": 1.0, "eta": 1},
+                 "options": {"output": "spectrum.json"}},
+                ["spectrum.json"],
+            ),
+            (
+                "curve --axis alpha_beta --from 0.1 --to 2 --points 5 --delta21 0.5 --regimes wao "
+                "--format json -o curve.json",
+                {"mode": "curve", "scaled": {"delta21": 0.5, "alpha": 0.0, "beta": 1.0, "eta": 0},
+                 "options": {"axis": "alpha_beta", "from": 0.1, "to": 2, "points": 5, "regimes": "wao",
+                             "format": "json", "output": "curve.json"}},
+                ["curve.json"],
+            ),
+            (
+                "threshold --delta21 0 --alpha-beta 1 --eta 1 --delta21-from -2 --delta21-to 6 "
+                "--alpha-beta-from 0.01 --alpha-beta-to 10 --resolution 64 -o thr.csv",
+                {"mode": "threshold", "scaled": {"delta21": 0.0, "alpha": 1.0, "beta": 1.0, "eta": 1},
+                 "options": {"delta21_from": -2, "delta21_to": 6, "alpha_beta_from": 0.01,
+                             "alpha_beta_to": 10, "resolution": 64, "output": "thr.csv"}},
+                ["thr.csv"],
+            ),
+            (
+                "evolve --delta21 0 --alpha-beta 1 --eta 1 --tau-end 2 -o traj.csv",
+                {"mode": "evolve", "scaled": {"delta21": 0.0, "alpha": 1.0, "beta": 1.0, "eta": 1},
+                 "options": {"tau_end": 2, "output": "traj.csv"}},
+                ["traj.csv"],
+            ),
+            (
+                "mass-study --alpha-beta-base 5 --ratios 1,10 --points 51 -o fig2",
+                {"mode": "mass-study",
+                 "options": {"alpha_beta_base": 5, "ratios": "1,10", "points": 51, "output": "fig2"}},
+                ["fig2_r1.csv", "fig2_r10.csv"],
+            ),
+            (
+                "validate --axis delta21 --from -1 --to 3 --points 41 --alpha-beta 1 --samples 4 --seed 1 "
+                "-o report.json",
+                {"mode": "validate", "scaled": {"delta21": 0.0, "alpha": 1.0, "beta": 1.0, "eta": 0},
+                 "options": {"axis": "delta21", "from": -1, "to": 3, "points": 41, "samples": 4, "seed": 1,
+                             "output": "report.json"}},
+                ["report.json"],
+            ),
+            (
+                "curve --axis delta21 --from -1 --to 3 --points 5 --alpha-beta 0.5 -o nulls.csv",
+                {"mode": "curve", "scaled": {"delta21": 0.0, "alpha": 0.5, "beta": 1.0, "eta": 0},
+                 "options": {"axis": "delta21", "from": -1, "to": 3, "points": 5, "regimes": None,
+                             "format": None, "output": "nulls.csv"}},
+                ["nulls.csv"],
+            ),
+        ],
+        ids=["spectrum", "curve-json", "threshold", "evolve", "mass-study", "validate", "curve-null-defaults"],
+    )
+    def test_every_mode_flags_vs_config_byte_identical(self, capsys, tmp_path, monkeypatch, argv, config, outputs):
+        # relative output paths, so stdout (which names them) must match too
+        runs = {}
+        for how in ("flags", "config"):
+            workdir = tmp_path / how
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            if how == "flags":
+                code, out, _ = run_cli(capsys, *argv.split())
+            else:
+                (workdir / "run.json").write_text(json.dumps(config))
+                code, out, _ = run_cli(capsys, "run", "--config", "run.json")
+            assert code == 0
+            runs[how] = (out, [(workdir / name).read_bytes() for name in outputs])
+        assert runs["flags"] == runs["config"]
+
     def test_spectrum_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -140,6 +211,14 @@ class TestConfigRoundTrip:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize("mode", ["nope", ["curve"], None])
+    def test_unknown_or_malformed_mode_is_config_error(self, capsys, tmp_path, mode):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": mode}))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert "mode must be one of" in err
 
     def test_unknown_option_key_named(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -195,6 +274,59 @@ class TestConfigRoundTrip:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 1
         assert "alpha_beta" in err
+
+
+SCALED_WAO = {"delta21": 0.0, "alpha": 1.0, "beta": 1.0, "eta": 1}
+VALIDATE_ARGV = "validate --axis delta21 --from -1 --to 3 --points 41 --alpha-beta 1 --samples 4"
+
+
+class TestBadOptionValues:
+    """A bad option value is a named configuration error (exit 1), never a traceback."""
+
+    @pytest.mark.parametrize(
+        "run, named",
+        [
+            (VALIDATE_ARGV.replace("--samples 4", "--samples 0"), ["samples", "0"]),
+            (VALIDATE_ARGV + " --seed -1", ["seed", "-1"]),
+            ({"mode": "mass-study", "options": {"alpha_beta_base": 5, "ratios": ["1", "10"], "output": "ms"}},
+             ["ratios", "['1', '10']"]),
+            ({"mode": "threshold", "scaled": SCALED_WAO,
+              "options": {"delta21_from": -2, "delta21_to": 6, "alpha_beta_from": 0.01, "alpha_beta_to": 10,
+                          "resolution": "x", "output": "thr.csv"}},
+             ["resolution", "'x'"]),
+            ({"mode": "evolve", "scaled": SCALED_WAO,
+              "options": {"tau_end": 1, "a1_seed": ["a", 0], "output": "traj.csv"}},
+             ["a1_seed", "['a', 0]"]),
+            ({"mode": "spectrum", "scaled": SCALED_WAO, "options": []}, ["options", "[]"]),
+        ],
+        ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list"],
+    )
+    def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
+        monkeypatch.chdir(tmp_path)
+        if isinstance(run, str):
+            code, _, err = run_cli(capsys, *run.split())
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps(run))
+            code, _, err = run_cli(capsys, "run", "--config", "cfg.json")
+        assert code == 1
+        assert err.startswith("error: ")
+        for text in named:
+            assert text in err
+
+    @pytest.mark.parametrize(
+        "config, where",
+        [
+            ([{"mode": "spectrum"}], "config"),
+            ({"mode": "spectrum", "scaled": [0.0, 1.0, 1.0, 1], "options": {}}, "'scaled' block"),
+            ({"mode": "spectrum", "physical": "phys.json", "options": {"eta": 1}}, "'physical' block"),
+        ],
+    )
+    def test_non_object_document_is_config_error(self, capsys, tmp_path, config, where):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 1
+        assert f"{where} must be a JSON object" in err
 
 
 class TestPhysicalBlock:

@@ -402,3 +402,48 @@ def test_spectrum_depends_only_on_product(d, ab, eta, split_log2):
     assert other.gamma == pytest.approx(base.gamma, abs=1e-12)
     for a, b in zip(base.lambdas, other.lambdas):
         assert a == pytest.approx(b, abs=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+class TestGammaRaoClosedFormAtExtremes:
+    """The RAO closed form at extreme scales: right, or a named error; never NaN,
+    a false 0, a bare OverflowError or a RuntimeWarning. The references are
+    eigen_spectrum's rates (the last one matches 60-digit mpmath)."""
+
+    @pytest.mark.parametrize("to_float", [float, np.float64])
+    @pytest.mark.parametrize(
+        "delta21, alpha_beta, expected",
+        [
+            (-1e100, 1e-150, 1e-125),
+            (-1e60, 1e-150, 1e-105),
+            (-1e99, 1e-10, 3.1622776601683795e-55),
+            (-129.12305433359612, 1.4241876651161433e21, 9743605.794853207),
+        ],
+    )
+    def test_pinned_points(self, to_float, delta21, alpha_beta, expected):
+        d, ab = to_float(delta21), to_float(alpha_beta)
+        assert eigen_spectrum(from_product(d, ab, RAO)).gamma == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert gamma_rao_closed_form(d, ab) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("to_float", [float, np.float64])
+    @pytest.mark.parametrize("delta21", [1e200, -1e200])
+    def test_huge_detuning_is_named_error(self, to_float, delta21):
+        with pytest.raises(ValueError, match="delta21"):
+            gamma_rao_closed_form(to_float(delta21), to_float(1.0))
+
+    @pytest.mark.parametrize("delta21, alpha_beta", [(1e100, 1e-100), (1e200, 1.0)])
+    def test_wao_spectrum_of_numpy_scalars_saturates_silently(self, delta21, alpha_beta):
+        sp = eigen_spectrum(from_product(np.float64(delta21), np.float64(alpha_beta), WAO))
+        assert sp.case is SpectrumCase.STABLE
+        assert all(np.isfinite(lam) for lam in sp.lambdas)
+
+    def test_log_uniform_matches_spectrum(self):
+        # 40 000 scratch draws gave at most 5.9e-15 of the root scale, from the
+        # pow-based cube root at large alpha_beta; the bound leaves 3x of room
+        rng = np.random.default_rng(31)
+        for _ in range(4000):
+            d = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-150, 100))
+            ab = float(10.0 ** rng.uniform(-150, 150))
+            sp = eigen_spectrum(from_product(d, ab, RAO))
+            scale = max(abs(lam) for lam in sp.lambdas)
+            assert abs(gamma_rao_closed_form(d, ab) - sp.gamma) <= 2e-14 * scale, (d, ab, sp)

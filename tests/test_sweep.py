@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import carl
 from carl import (
     RAO,
     WAO,
@@ -320,27 +324,11 @@ class TestSerialization:
             assert abs(l1 * l2 * l3 - 1j * (2.0 + eta * rec.axis_value)) <= 1e-10
 
 
-def test_carl_threads_unset_or_blank_is_serial(monkeypatch):
-    from carl.sweep import _worker_count
 
-    monkeypatch.delenv("CARL_THREADS", raising=False)
-    assert _worker_count() == 1
-    monkeypatch.setenv("CARL_THREADS", "  ")
-    assert _worker_count() == 1
-
-
-def test_carl_threads_env_respected(monkeypatch):
-    spec = SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=101, fixed=1.0)
-    base_buf = io.StringIO()
-    write_sweep_csv(gain_curve(spec), base_buf)
-    for setting in ("1", "4"):
-        monkeypatch.setenv("CARL_THREADS", setting)
-        buf = io.StringIO()
-        write_sweep_csv(gain_curve(spec), buf)
-        assert buf.getvalue() == base_buf.getvalue()
-    monkeypatch.setenv("CARL_THREADS", "0")
-    with pytest.raises(ValueError):
-        gain_curve(spec)
-    monkeypatch.setenv("CARL_THREADS", "junk")
-    with pytest.raises(ValueError):
-        gain_curve(spec)
+def test_cli_import_loads_no_thread_pool():
+    # sweeps run serially: a fresh interpreter importing the CLI must not load
+    # the thread-pool machinery (numpy alone does not import it)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(carl.__file__)))
+    code = "import sys, carl.cli; sys.exit('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

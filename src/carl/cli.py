@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from carl._io import text_sink, write_json
@@ -85,7 +86,14 @@ class Mode(NamedTuple):
     options: Tuple[Option, ...]
 
 
-ETA = Option(("--eta",), "eta", int, None, "regime flag: 0 = RAO (classical), 1 = WAO (quantum)", (0, 1))
+def _integer(value) -> int:
+    """An integer; a float only if it is integral (``41.0``, not ``5.7``), not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("must be an integer")
+    return int(value)
+
+
+ETA = Option(("--eta",), "eta", _integer, None, "regime flag: 0 = RAO (classical), 1 = WAO (quantum)", (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +224,7 @@ def _run_curve(params: ScaledParams, options: Dict) -> int:
     result = gain_curve(spec)
     _write_result(result, options["output"], options["format"])
     regs = ",".join(spec.regimes)
-    print(f"curve: {len(result.records)} records ({spec.axis} in [{spec.start:g}, {spec.stop:g}], {regs}) -> {options['output']}")
+    print(f"curve: {len(result.axis)} records ({spec.axis} in [{spec.start:g}, {spec.stop:g}], {regs}) -> {options['output']}")
     return 0
 
 
@@ -279,17 +287,7 @@ def _run_validate(params: ScaledParams, options: Dict) -> int:
     doc = {
         "seed": report.seed,
         "counts": report.counts(),
-        "entries": [
-            {
-                "axis_value": e.axis_value,
-                "regime": e.regime,
-                "gamma_spectrum": e.gamma_spectrum,
-                "gamma_fit": e.gamma_fit,
-                "status": e.status,
-                "rel_err": e.rel_err,
-            }
-            for e in report.entries
-        ],
+        "entries": [asdict(e) for e in report.entries],
         "version": __version__,
     }
     _write_report(doc, options["output"])
@@ -310,7 +308,7 @@ MODES: Dict[str, Mode] = {
             Option(("--axis",), "axis", str, REQUIRED, "swept control (scaled units)", _AXIS),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled units)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled units)"),
-            Option(("--points",), "points", int, REQUIRED, "number of grid points (>= 2)"),
+            Option(("--points",), "points", _integer, REQUIRED, "number of grid points (>= 2)"),
             Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
             Option(("-o", "--output"), "output", str, REQUIRED, "output file path"),
             Option(("--format",), "format", str, "csv", "output format (default csv)", _FORMAT),
@@ -323,7 +321,7 @@ MODES: Dict[str, Mode] = {
             Option(("--delta21-to",), "delta21_to", float, REQUIRED, "detuning window stop (scaled)"),
             Option(("--alpha-beta-from",), "alpha_beta_from", float, REQUIRED, "alpha*beta window start (scaled)"),
             Option(("--alpha-beta-to",), "alpha_beta_to", float, REQUIRED, "alpha*beta window stop (scaled)"),
-            Option(("--resolution",), "resolution", int, 256, "number of delta21 grid points (>= 16, default 256)"),
+            Option(("--resolution",), "resolution", _integer, 256, "number of delta21 grid points (>= 16, default 256)"),
             Option(("-o", "--output"), "output", str, REQUIRED, "output CSV path (branch_id,delta21,alpha_beta)"),
         ),
     ),
@@ -332,7 +330,7 @@ MODES: Dict[str, Mode] = {
         (
             Option(("--tau-end",), "tau_end", float, REQUIRED, "final scaled time tau"),
             Option(("--dt",), "dt", float, 1e-3, "integrator step in scaled time (default 1e-3)"),
-            Option(("--stride",), "stride", int, 100, "output every N steps (default 100)"),
+            Option(("--stride",), "stride", _integer, 100, "output every N steps (default 100)"),
             Option(("--a1-seed",), "a1_seed", _complex, 1e-6, "initial probe amplitude A1(0), real (default 1e-6)"),
             Option(("--b0",), "b0", _complex, 0.0, "initial bunching B(0), real (default 0)"),
             Option(("--bdot0",), "bdot0", _complex, 0.0, "initial dB/dtau, real (default 0)"),
@@ -346,7 +344,7 @@ MODES: Dict[str, Mode] = {
             Option(("--ratios",), "ratios", None, REQUIRED, "comma-separated mass ratios, e.g. 1,10,100"),
             Option(("--from",), "from", float, -2.0, "detuning start in reference units (default -2)"),
             Option(("--to",), "to", float, 6.0, "detuning stop in reference units (default 6)"),
-            Option(("--points",), "points", int, 801, "grid points (default 801)"),
+            Option(("--points",), "points", _integer, 801, "grid points (default 801)"),
             Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
             Option(("-o", "--output"), "output", str, REQUIRED, "output stem; files <stem>_r<ratio>.<fmt>"),
             Option(("--format",), "format", str, "csv", "output format (default csv)", _FORMAT),
@@ -358,10 +356,10 @@ MODES: Dict[str, Mode] = {
             Option(("--axis",), "axis", str, REQUIRED, "swept control (scaled units)", _AXIS),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled)"),
-            Option(("--points",), "points", int, REQUIRED, "number of grid points"),
+            Option(("--points",), "points", _integer, REQUIRED, "number of grid points"),
             Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
-            Option(("--samples",), "samples", int, REQUIRED, "number of random grid samples to validate"),
-            Option(("--seed",), "seed", int, 0, "RNG seed for sample selection (default 0)"),
+            Option(("--samples",), "samples", _integer, REQUIRED, "number of random grid samples to validate"),
+            Option(("--seed",), "seed", _integer, 0, "RNG seed for sample selection (default 0)"),
             Option(("-o", "--output"), "output", str, None, "optional JSON report path"),
         ),
     ),

@@ -28,13 +28,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from carl.cubic import RealCubic, RootNature, _cbrt, classify, solve_cubic
+from carl.cubic import RealCubic, solve_cubics
 from carl.params import RAO, WAO, ScaledParams
 
 __all__ = [
     "SpectrumCase",
     "Spectrum",
     "eigen_spectrum",
+    "spectrum_arrays",
     "gamma_rao_closed_form",
     "threshold_lhs",
     "critical_alpha_beta",
@@ -77,22 +78,54 @@ def _dispersion_cubic(delta21: float, alpha_beta: float, eta: int) -> RealCubic:
     return RealCubic(1.0, -d, -float(eta), ab + eta * d)
 
 
+def spectrum_arrays(delta21, alpha_beta, eta):
+    """Spectra of the linearized system at many control points, as arrays.
+
+    ``delta21``, ``alpha_beta`` and ``eta`` are broadcast against each other
+    to n points. Returns ``(lambdas, gamma, case, boundary)``: the (n, 3)
+    eigenvalues, the growth rates, the stability classes ("I" or "II") and
+    the boundary flags of :class:`Spectrum`, from one call of
+    :func:`carl.cubic.solve_cubics` on the real cubics for ``x = -i*lambda``.
+    The inputs are checked as :class:`ScaledParams` checks them: a
+    non-finite value, ``alpha_beta < 0`` or an ``eta`` other than 0 or 1
+    raises ``ValueError`` naming the parameter.
+    """
+    arrays = np.broadcast_arrays(np.asarray(delta21, dtype=float), np.asarray(alpha_beta, dtype=float), np.asarray(eta))
+    d, ab, eta = (np.ravel(v) for v in arrays)
+    bad = (eta != RAO) & (eta != WAO)
+    if bad.any():
+        raise ValueError(f"eta must be exactly 0 (RAO) or 1 (WAO), got {eta[bad.argmax()].item()!r}")
+    if (ab < 0.0).any():
+        raise ValueError(f"alpha_beta must be >= 0, got {ab[(ab < 0.0).argmax()].item()}")
+    for name, v in (("delta21", d), ("alpha_beta", ab)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+    with np.errstate(over="ignore"):
+        solved = solve_cubics(-d, -eta.astype(float), ab + eta * d)
+    lambdas = 1j * solved.roots
+    unstable = ~solved.three_real
+    # the pair's -imag member is the eigenvalue with real part +gamma
+    return lambdas, np.where(unstable, lambdas[:, 2].real, 0.0), np.where(unstable, "II", "I"), solved.boundary
+
+
 def eigen_spectrum(s: ScaledParams) -> Spectrum:
     """Spectrum of the linearized probe/bunching system at one control point.
 
-    Solves the real cubic for ``x = -i*lambda`` and maps back. The unstable
-    case yields real parts ``+gamma`` and ``-gamma`` (exactly opposite, by
-    conjugate symmetrization in the cubic solver) plus one purely imaginary
+    :func:`spectrum_arrays` with one element. The unstable case yields real
+    parts ``+gamma`` and ``-gamma`` (exactly opposite, by conjugate
+    symmetrization in the cubic solver) plus one purely imaginary
     eigenvalue.
     """
-    cubic = _dispersion_cubic(s.delta21, s.alpha_beta, s.eta)
-    solved = solve_cubic(cubic)
-    lambdas = tuple(1j * x for x in solved.roots)
-    boundary = classify(cubic).boundary
-    if solved.nature is RootNature.THREE_REAL:
-        return Spectrum(lambdas=lambdas, case=SpectrumCase.STABLE, gamma=0.0, boundary=boundary)
-    gamma = max(lam.real for lam in lambdas)
-    return Spectrum(lambdas=lambdas, case=SpectrumCase.UNSTABLE, gamma=gamma, boundary=boundary)
+    lambdas, gamma, case, boundary = spectrum_arrays(s.delta21, s.alpha_beta, s.eta)
+    return Spectrum(
+        lambdas=tuple(lambdas[0].tolist()), case=SpectrumCase(case[0]), gamma=float(gamma[0]), boundary=bool(boundary[0])
+    )
+
+
+def _cbrt(x: float) -> float:
+    """Signed real cube root: pow's estimate and one Newton step (math.cbrt is 3.11+)."""
+    y = math.copysign(abs(x) ** (1.0 / 3.0), x)
+    return y - (y - x / (y * y)) / 3.0 if y else y
 
 
 def gamma_rao_closed_form(delta21: float, alpha_beta: float) -> float:

@@ -2,7 +2,10 @@
 
 Everything here evaluates the spectrum module over grids and tabulates the
 results in a fixed, deterministic order so that identical inputs produce
-byte-identical CSV/JSON files.
+byte-identical CSV/JSON files. Gain curves and mass studies are columnar:
+one :func:`carl.spectrum.spectrum_arrays` call per regime fills whole
+columns of a :class:`SweepResult`, and the writers format rows straight
+from those columns.
 
 The threshold map needs no root finding on a grid: the stability boundary is
 the graph of the closed-form critical alpha*beta over delta21 (the
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +28,7 @@ from carl._io import PathOrFile, text_sink, write_json
 from carl._version import __version__
 from carl.dynamics import NonExponentialFitError, TrajectoryState, evolve, fit_growth_rate
 from carl.params import RAO, WAO, ScaledParams
-from carl.spectrum import Spectrum, _alpha_beta_roots, critical_delta21, eigen_spectrum
+from carl.spectrum import _alpha_beta_roots, critical_delta21, spectrum_arrays
 
 __all__ = [
     "SweepSpec",
@@ -77,12 +81,13 @@ class SweepSpec:
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.num_points)
 
+    def controls(self, axis_values):
+        """``(delta21, alpha_beta)`` at one axis value or an array of them."""
+        return (axis_values, self.fixed) if self.axis == "delta21" else (self.fixed, axis_values)
+
     def point(self, axis_value: float, regime: str) -> ScaledParams:
         """Control-parameter set at one grid point of the sweep."""
-        eta = _REGIME_ETA[regime]
-        if self.axis == "delta21":
-            return ScaledParams.from_product(axis_value, self.fixed, eta)
-        return ScaledParams.from_product(self.fixed, axis_value, eta)
+        return ScaledParams.from_product(*self.controls(axis_value), _REGIME_ETA[regime])
 
     def as_dict(self) -> Dict:
         return {
@@ -107,47 +112,55 @@ class SweepRecord:
     boundary: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Ordered sweep records plus reproducibility metadata."""
+    """A sweep as columns, one row per grid point and regime, plus reproducibility metadata.
 
-    records: Tuple[SweepRecord, ...]
+    Rows come in regime blocks (RAO before WAO), the axis ascending within
+    each block. ``axis``, ``regime``, ``gamma``, ``case`` ("I" or "II") and
+    ``boundary`` have one entry per row and ``lambdas`` is (rows, 3);
+    :attr:`records` gives the same rows as :class:`SweepRecord` objects.
+    """
+
+    axis: np.ndarray
+    regime: np.ndarray
+    gamma: np.ndarray
+    case: np.ndarray
+    lambdas: np.ndarray
+    boundary: np.ndarray
     meta: Dict = field(default_factory=dict)
+
+    @property
+    def records(self) -> Tuple[SweepRecord, ...]:
+        columns = (self.axis, self.regime, self.gamma, self.case, self.lambdas, self.boundary)
+        return tuple(SweepRecord(a, r, g, c, tuple(l), b) for a, r, g, c, l, b in zip(*(v.tolist() for v in columns)))
 
     def filtered(self, regime: str) -> List[SweepRecord]:
         return [r for r in self.records if r.regime == regime]
 
     def gamma_array(self, regime: str) -> np.ndarray:
-        return np.array([r.gamma for r in self.filtered(regime)])
+        return self.gamma[self.regime == regime]
 
 
-def _record(axis_value: float, regime: str, spec_point: Spectrum) -> SweepRecord:
-    return SweepRecord(
-        axis_value=float(axis_value),
-        regime=regime,
-        gamma=spec_point.gamma,
-        case=spec_point.case.value,
-        lambdas=spec_point.lambdas,
-        boundary=spec_point.boundary,
-    )
+def _columns(grid: np.ndarray, regimes: Sequence[str], spectra, meta: Dict) -> SweepResult:
+    # one (lambdas, gamma, case, boundary) block per regime, stacked in order
+    lambdas, gamma, case, boundary = (np.concatenate(block) for block in zip(*spectra))
+    axis, regime = np.tile(grid, len(regimes)), np.repeat(regimes, len(grid))
+    return SweepResult(axis, regime, gamma, case, lambdas, boundary, meta)
 
 
 def gain_curve(spec: SweepSpec, *, timestamp: Optional[str] = None) -> SweepResult:
     """Growth rate (and full spectrum) along one control axis.
 
     Output ordering is fixed: RAO block before WAO block, axis ascending
-    within each block.
+    within each block. Each regime is one :func:`spectrum_arrays` call.
     """
     grid = spec.grid()
-    records: List[SweepRecord] = []
-    for regime in REGIMES:
-        if regime not in spec.regimes:
-            continue
-        records.extend(_record(v, regime, eigen_spectrum(spec.point(float(v), regime))) for v in grid)
+    regimes = [r for r in REGIMES if r in spec.regimes]
     meta = {"spec": spec.as_dict(), "version": __version__}
     if timestamp is not None:
         meta["timestamp"] = timestamp
-    return SweepResult(records=tuple(records), meta=meta)
+    return _columns(grid, regimes, [spectrum_arrays(*spec.controls(grid), _REGIME_ETA[r]) for r in regimes], meta)
 
 
 def mass_study(
@@ -175,28 +188,24 @@ def mass_study(
         raise ValueError(f"alpha_beta_base must be >= 0, got {alpha_beta_base}")
     if not mass_ratios or any(not (math.isfinite(s) and s > 0) for s in mass_ratios):
         raise ValueError(f"mass_ratios must be positive and finite, got {mass_ratios!r}")
+    if not regimes or any(r not in REGIMES for r in regimes):
+        raise ValueError(f"regimes must be a nonempty subset of {REGIMES}, got {regimes!r}")
 
     results: List[SweepResult] = []
     lo, hi = delta21_range
     grid = np.linspace(lo, hi, num_points)
+    blocks = [r for r in REGIMES if r in regimes]
     for ratio in mass_ratios:
         ab_scaled = alpha_beta_base * ratio * ratio
-        records: List[SweepRecord] = []
-        for regime in REGIMES:
-            if regime not in regimes:
-                continue
-            for d0 in grid:
-                sp = eigen_spectrum(ScaledParams.from_product(ratio * d0, ab_scaled, _REGIME_ETA[regime]))
-                records.append(
-                    SweepRecord(
-                        axis_value=float(d0),
-                        regime=regime,
-                        gamma=sp.gamma / ratio,
-                        case=sp.case.value,
-                        lambdas=tuple(lam / ratio for lam in sp.lambdas),
-                        boundary=sp.boundary,
-                    )
-                )
+        spectra = []
+        for regime in blocks:
+            lambdas, gamma, case, boundary = spectrum_arrays(ratio * grid, ab_scaled, _REGIME_ETA[regime])
+            # lambdas / ratio, each part formed as Python's complex / float forms it; its
+            # zero terms set the signs of zero that the CSV writes as 0 or -0
+            scaled = np.empty_like(lambdas)
+            scaled.real = (lambdas.real + lambdas.imag * 0.0) / ratio
+            scaled.imag = (lambdas.imag - lambdas.real * 0.0) / ratio
+            spectra.append((scaled, gamma / ratio, case, boundary))
         meta = {
             "spec": {
                 "axis": "delta21",
@@ -213,7 +222,7 @@ def mass_study(
         }
         if timestamp is not None:
             meta["timestamp"] = timestamp
-        results.append(SweepResult(records=tuple(records), meta=meta))
+        results.append(_columns(grid, blocks, spectra, meta))
     return results
 
 
@@ -325,33 +334,33 @@ def validate_sweep(
     grid = spec.grid()
     regimes = [r for r in REGIMES if r in spec.regimes]
 
-    entries: List[ValidationEntry] = []
-    for _ in range(n_samples):
-        axis_value = float(grid[int(rng.integers(0, len(grid)))])
-        regime = regimes[int(rng.integers(0, len(regimes)))]
-        params = spec.point(axis_value, regime)
-        sp = eigen_spectrum(params)
+    draws = [(float(grid[int(rng.integers(0, len(grid)))]), regimes[int(rng.integers(0, len(regimes)))]) for _ in range(n_samples)]
+    points = [spec.point(axis_value, regime) for axis_value, regime in draws]
+    # the spectra of all samples in one call
+    spectra = spectrum_arrays([p.delta21 for p in points], [p.alpha_beta for p in points], [p.eta for p in points])
 
-        if sp.boundary:
-            entries.append(ValidationEntry(axis_value, regime, sp.gamma, None, "skipped_boundary", None))
+    entries: List[ValidationEntry] = []
+    for (axis_value, regime), params, lambdas, gamma, _, boundary in zip(draws, points, *(v.tolist() for v in spectra)):
+        if boundary:
+            entries.append(ValidationEntry(axis_value, regime, gamma, None, "skipped_boundary", None))
             continue
 
         init = TrajectoryState(tau=0.0, A1=complex(probe_seed), B=0.0, Bdot=0.0)
-        if sp.gamma > 0.0:
-            if sp.gamma < gamma_floor:
-                entries.append(ValidationEntry(axis_value, regime, sp.gamma, None, "skipped_slow", None))
+        if gamma > 0.0:
+            if gamma < gamma_floor:
+                entries.append(ValidationEntry(axis_value, regime, gamma, None, "skipped_slow", None))
                 continue
-            window = (30.0 / sp.gamma, 60.0 / sp.gamma)
-            dt = min(5e-3, 0.02 / max(abs(lam) for lam in sp.lambdas))
+            window = (30.0 / gamma, 60.0 / gamma)
+            dt = min(5e-3, 0.02 / max(abs(lam) for lam in lambdas))
             traj = evolve(params, init, tau_end=window[1], dt=dt, output_stride=50)
             try:
                 fitted = fit_growth_rate(traj, window)
             except NonExponentialFitError:
-                entries.append(ValidationEntry(axis_value, regime, sp.gamma, None, "inconsistent", None))
+                entries.append(ValidationEntry(axis_value, regime, gamma, None, "inconsistent", None))
                 continue
-            rel = abs(fitted - sp.gamma) / sp.gamma
+            rel = abs(fitted - gamma) / gamma
             status = "ok" if rel <= rate_tol else "mismatch"
-            entries.append(ValidationEntry(axis_value, regime, sp.gamma, fitted, status, rel))
+            entries.append(ValidationEntry(axis_value, regime, gamma, fitted, status, rel))
         else:
             traj = evolve(params, init, tau_end=60.0, dt=5e-3, output_stride=50)
             try:
@@ -368,13 +377,16 @@ def validate_sweep(
 # ---------------------------------------------------------------------------
 
 _CSV_COLUMNS = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3"
+_CSV_ROW = "%s,%.17g,%s,%.17g,%s" + ",%.17g" * 6 + "\n"
 
 
-def _record_row(axis_name: str, rec: SweepRecord) -> List:
-    row: List = [axis_name, rec.axis_value, rec.regime, rec.gamma, rec.case]
-    for lam in rec.lambdas:
-        row.extend((lam.real, lam.imag))
-    return row
+def _rows(result: SweepResult):
+    """The rows of the CSV and JSON writers: axis name, then one value per remaining column."""
+    axis_name = result.meta.get("spec", {}).get("axis", "axis")
+    lam = result.lambdas
+    parts = [lam[:, j // 2].imag if j % 2 else lam[:, j // 2].real for j in range(6)]
+    columns = (result.axis, result.regime, result.gamma, result.case, *parts)
+    return zip(repeat(axis_name), *(v.tolist() for v in columns))
 
 
 def write_sweep_csv(result: SweepResult, path_or_file: PathOrFile) -> None:
@@ -383,37 +395,13 @@ def write_sweep_csv(result: SweepResult, path_or_file: PathOrFile) -> None:
         for key in sorted(result.meta):
             f.write(f"# {key}: {json.dumps(result.meta[key], sort_keys=True)}\n")
         f.write(_CSV_COLUMNS + "\n")
-        axis_name = result.meta.get("spec", {}).get("axis", "axis")
-        for rec in result.records:
-            cells = [
-                x if isinstance(x, str) else format(x, ".17g") for x in _record_row(axis_name, rec)
-            ]
-            f.write(",".join(cells) + "\n")
+        f.write("".join(_CSV_ROW % row for row in _rows(result)))
 
 
 def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
     """Same records as the CSV writer, as one JSON document."""
-    axis_name = result.meta.get("spec", {}).get("axis", "axis")
-    doc = {
-        "meta": result.meta,
-        "records": [
-            {
-                "axis_name": axis_name,
-                "axis_value": rec.axis_value,
-                "regime": rec.regime,
-                "gamma": rec.gamma,
-                "case": rec.case,
-                "re_l1": rec.lambdas[0].real,
-                "im_l1": rec.lambdas[0].imag,
-                "re_l2": rec.lambdas[1].real,
-                "im_l2": rec.lambdas[1].imag,
-                "re_l3": rec.lambdas[2].real,
-                "im_l3": rec.lambdas[2].imag,
-            }
-            for rec in result.records
-        ],
-    }
-    write_json(doc, path_or_file)
+    keys = _CSV_COLUMNS.split(",")
+    write_json({"meta": result.meta, "records": [dict(zip(keys, row)) for row in _rows(result)]}, path_or_file)
 
 
 def write_polylines_csv(

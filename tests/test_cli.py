@@ -298,8 +298,13 @@ class TestBadOptionValues:
               "options": {"tau_end": 1, "a1_seed": ["a", 0], "output": "traj.csv"}},
              ["a1_seed", "['a', 0]"]),
             ({"mode": "spectrum", "scaled": SCALED_WAO, "options": []}, ["options", "[]"]),
+            ({"mode": "curve", "scaled": SCALED_WAO,
+              "options": {"axis": "delta21", "from": -1, "to": 3, "points": 5.7, "output": "c.csv"}},
+             ["points", "5.7"]),
+            ({"mode": "spectrum", "scaled": SCALED_WAO, "options": {"eta": 1.5}}, ["eta", "1.5"]),
         ],
-        ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list"],
+        ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
+             "points-fraction", "eta-fraction"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)

@@ -203,3 +203,69 @@ def test_classify_matches_solver_structure(c2, c1, c0):
     tag = classify(cubic)
     if not tag.boundary:
         assert tag.nature is solve_cubic(cubic).nature
+
+
+def cubic_from_roots(r1, r2, r3):
+    return RealCubic(1.0, -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -(r1 * r2 * r3))
+
+
+def cubic_from_pair(real, re, im):
+    # (x - real)(x^2 - 2 re x + re^2 + im^2)
+    s1, s0 = -2.0 * re, re * re + im * im
+    return RealCubic(1.0, s1 - real, s0 - real * s1, -real * s0)
+
+
+class TestScaleFreeBoundary:
+    """The boundary tag depends on the shape of the roots, not on their scale."""
+
+    @pytest.mark.parametrize("k", [10, -10, 40, -40, 300, -300])
+    def test_tag_invariant_under_power_of_two_root_scaling(self, k):
+        # scaling the roots by 2^k scales each coefficient exactly
+        rng = np.random.default_rng(5)
+        s = 2.0**k
+        for _ in range(300):
+            a, b, c = rng.normal(size=3)
+            for make, roots in ((cubic_from_roots, (a, b, c)), (cubic_from_pair, (c, a, abs(b)))):
+                base, scaled = classify(make(*roots)), classify(make(*(r * s for r in roots)))
+                assert (scaled.nature, scaled.boundary) == (base.nature, base.boundary), (make, roots, k)
+
+    def test_small_roots_are_not_boundary(self):
+        # roots 0 and +-1e-15: a plain three-real shape, far from a repeated root
+        c = classify(RealCubic(1.0, 0.0, -1e-30, 0.0))
+        assert c.nature is RootNature.THREE_REAL
+        assert not c.boundary
+        assert c.discriminant == pytest.approx(4.0, rel=1e-12)
+
+    def test_rounded_triple_root_at_large_scale_is_boundary(self):
+        # (x - 1e100)^3 with rounded coefficients: p and q are rounding residues
+        c = classify(RealCubic(1.0, -3e100, 3e200, -1e300))
+        assert c.nature is RootNature.THREE_REAL
+        assert c.boundary
+
+
+def root_distance(a, b):
+    """Max over best-matched pairs of the absolute distance between root sets."""
+    return min(max(abs(x - b[k]) for x, k in zip(a, perm)) for perm in itertools.permutations(range(3)))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    exponent=st.floats(-100.0, 100.0),
+    a=st.floats(-10.0, 10.0),
+    b=st.floats(-10.0, 10.0),
+    c=st.floats(-10.0, 10.0),
+    pair=st.booleans(),
+)
+def test_companion_matches_solver_over_log_uniform_root_scales(exponent, a, b, c, pair):
+    """The unscaled companion matrix and the solver agree relative to the root scale.
+
+    Roots of order 10^exponent, three real or a real root and a conjugate
+    pair; boundary-flagged cubics (near-repeated roots) compare nothing.
+    """
+    s = 10.0**exponent
+    cubic = cubic_from_pair(c * s, a * s, abs(b) * s) if pair else cubic_from_roots(a * s, b * s, c * s)
+    if classify(cubic).boundary:
+        return
+    solved = solve_cubic(cubic).roots
+    scale = max(abs(z) for z in solved)
+    assert root_distance(solved, companion_roots(cubic).roots) <= 1e-9 * scale, (cubic, solved)

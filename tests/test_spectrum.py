@@ -1,8 +1,12 @@
 """Spectrum, growth rate and threshold tests."""
 
+import math
+import re
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carl import (
@@ -16,6 +20,7 @@ from carl import (
     gamma_rao_closed_form,
     threshold_lhs,
 )
+from carl.spectrum import _cbrt, spectrum_arrays
 
 SQRT3_HALF = 0.86602540378443865  # sqrt(3)/2
 WAO_ZERO_DETUNING_THRESHOLD = 0.38490017945975051  # 2/(3*sqrt(3))
@@ -447,3 +452,84 @@ class TestGammaRaoClosedFormAtExtremes:
             sp = eigen_spectrum(from_product(d, ab, RAO))
             scale = max(abs(lam) for lam in sp.lambdas)
             assert abs(gamma_rao_closed_form(d, ab) - sp.gamma) <= 2e-14 * scale, (d, ab, sp)
+
+
+class TestSpectrumArrays:
+    def test_one_call_equals_pointwise_calls(self):
+        """One array call gives, bit for bit, what one-element calls give.
+
+        Log-uniform magnitudes put some rows into the power-of-two rescaling
+        and the dominant-root deflation and leave others out, so a step
+        applied to the whole array instead of per row shows up here.
+        """
+        rng = np.random.default_rng(41)
+        n = 4000
+        d = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-150, 100, n)
+        ab = 10.0 ** rng.uniform(-150, 150, n)
+        eta = rng.integers(0, 2, n)
+        pinned = [(1.5, 0.5, RAO), (0.0, 0.0, RAO), (0.5, 0.0, RAO), (1e200, 1.0, WAO), (1.0, 1e300, WAO)]
+        d = np.concatenate([d, [p[0] for p in pinned]])
+        ab = np.concatenate([ab, [p[1] for p in pinned]])
+        eta = np.concatenate([eta, [p[2] for p in pinned]])
+        lambdas, gamma, case, boundary = spectrum_arrays(d, ab, eta)
+        for i in range(d.size):
+            sp = eigen_spectrum(from_product(d[i], ab[i], int(eta[i])))
+            assert np.array(sp.lambdas).tobytes() == lambdas[i].tobytes(), (d[i], ab[i], eta[i])
+            assert np.float64(sp.gamma).tobytes() == gamma[i].tobytes()
+            assert (sp.case.value, sp.boundary) == (case[i], boundary[i])
+        # the exact RAO double root: x^3 - 1.5 x^2 + 0.5 = (x - 1)^2 (x + 0.5)
+        assert tuple(lambdas[n]) == (-0.5j, 1j, 1j)
+        assert case[n] == "I" and boundary[n]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (([0.0, 1.0], [1.0, -1.0], RAO), "alpha_beta must be >= 0, got -1.0"),
+            (([0.0, np.inf], 1.0, RAO), "delta21 must be finite"),
+            ((0.0, [1.0, np.nan], WAO), "alpha_beta must be finite"),
+            ((0.0, 1.0, [0, 2]), "eta must be exactly 0 (RAO) or 1 (WAO), got 2"),
+        ],
+    )
+    def test_bad_inputs_are_named_errors(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spectrum_arrays(*args)
+
+
+def test_small_rao_controls_raise_no_spurious_boundary_flags():
+    """Roots well below 1 are no reason for a boundary flag: near the RAO
+    threshold's cusp at delta21 = 0 the flag must mark only points next to
+    the threshold itself."""
+    rng = np.random.default_rng(7)
+    d = rng.uniform(-1e-2, 1e-2, 2000)
+    ab = 10.0 ** rng.uniform(-12, -2, 2000)
+    boundary = spectrum_arrays(d, ab, RAO)[3]
+    spurious = []
+    for x, y in zip(d[boundary], ab[boundary]):
+        threshold = critical_alpha_beta(x, RAO) or 0.0
+        if abs(y - threshold) > 0.1 * max(y, threshold):
+            spurious.append((x, y))
+    assert spurious == []
+
+
+def _decimal_cbrt(x: float) -> Decimal:
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return abs(Decimal(x)) ** (Decimal(1) / 3)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(x=st.floats(-1e308, 1e308))
+@example(x=6.532959754169764e149 / 4.0)  # the cube root in the pinned gamma_rao_closed_form point
+def test_cbrt_within_one_ulp(x):
+    got = _cbrt(x)
+    assert math.copysign(1.0, got) == math.copysign(1.0, x)
+    if x != 0.0:
+        ref = _decimal_cbrt(x)
+        assert abs(Decimal(abs(got)) - ref) <= Decimal(math.ulp(float(ref)))
+
+
+def test_closed_form_at_large_alpha_beta_within_4_ulps():
+    # 60-digit reference; pow's cube root alone gave 7.514509294399335e49, about 30 ulps off
+    expected = 7.5145092943993853e49
+    got = gamma_rao_closed_form(-28.735343225800317, 6.532959754169764e149)
+    assert abs(got - expected) <= 4 * math.ulp(expected)

@@ -152,6 +152,10 @@ class TestMassStudy:
         with pytest.raises(ValueError):
             mass_study(1.0, [0.0])
 
+    def test_rejects_unknown_regimes(self):
+        with pytest.raises(ValueError, match="regimes"):
+            mass_study(1.0, [1.0], regimes=("XAO",))
+
 
 class TestThresholdMap:
     def test_rao_boundary_is_cubic_law(self):

@@ -49,6 +49,7 @@ from carl.spectrum import (
 )
 from carl.dynamics import (
     NonExponentialFitError,
+    NonFiniteStateError,
     StepSizeRejection,
     Trajectory,
     TrajectoryState,
@@ -101,6 +102,7 @@ __all__ = [
     "TrajectoryState",
     "Trajectory",
     "StepSizeRejection",
+    "NonFiniteStateError",
     "NonExponentialFitError",
     "system_matrix",
     "evolve",

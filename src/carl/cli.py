@@ -16,7 +16,7 @@ the option keys a config may use, the defaults a config run gets (the same
 as the flag defaults) and the config a flag run is normalized to, so a
 config echoing a flag run produces byte-identical output. Exit codes: 0
 success, 1 configuration error, 2 numerical failure (integrator step
-rejection).
+rejection, or a state past the float range).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from carl._io import text_sink, write_json
 from carl._version import __version__
-from carl.dynamics import StepSizeRejection, TrajectoryState, evolve, write_trajectory_csv
+from carl.dynamics import NonFiniteStateError, StepSizeRejection, TrajectoryState, evolve, write_trajectory_csv
 from carl.params import PhysicalParams, ScaledParams, to_scaled
 from carl.spectrum import eigen_spectrum
 from carl.sweep import (
@@ -124,11 +124,15 @@ def _scaled_from_config(config: Dict, eta: Optional[int]) -> ScaledParams:
     if missing:
         raise ConfigError(f"'{name}' block is missing key(s): {', '.join(missing)}")
     if name == "scaled":
+        try:
+            regime = _integer(block["eta"])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'scaled' block: eta = {block['eta']!r}: {exc}") from exc
         params = ScaledParams(
             delta21=float(block["delta21"]),
             alpha=float(block["alpha"]),
             beta=float(block["beta"]),
-            eta=int(block["eta"]),
+            eta=regime,
         )
         return params if eta is None else params.with_eta(eta)
     phys = PhysicalParams(
@@ -551,7 +555,12 @@ def _block_from_args(args: argparse.Namespace) -> Dict:
     return {"scaled": {"delta21": delta21, "alpha": alpha, "beta": beta, "eta": eta}}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``carl`` parser; given ``command``, only that subcommand gets its arguments.
+
+    Every subcommand is registered with its help either way, so the top-level
+    help and an invalid-choice error do not depend on ``command``.
+    """
     parser = argparse.ArgumentParser(
         prog="carl",
         description="Linear stability and dynamics of the collective atomic-recoil laser. "
@@ -563,18 +572,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, mode in MODES.items():
         sub = subs.add_parser(name, help=mode.help)
+        if command not in (None, name):
+            continue
         if mode.block:
             _add_scaled_flags(sub, with_eta=mode.eta)
         for o in mode.options:
             _add_option(sub, o)
 
     ps = subs.add_parser("plot-script", help="emit a gnuplot script for sweep result files")
-    ps.add_argument("results", nargs="+", help="sweep CSV file(s) produced by curve/mass-study")
-    ps.add_argument("--style", choices=("fig1", "mass-study"), default="fig1", help="labeling convention")
-    ps.add_argument("-o", "--output", required=True, help="gnuplot script path")
+    if command in (None, "plot-script"):
+        ps.add_argument("results", nargs="+", help="sweep CSV file(s) produced by curve/mass-study")
+        ps.add_argument("--style", choices=("fig1", "mass-study"), default="fig1", help="labeling convention")
+        ps.add_argument("-o", "--output", required=True, help="gnuplot script path")
 
     rn = subs.add_parser("run", help="execute a JSON config file (flag-equivalent)")
-    rn.add_argument("--config", required=True, help="path to the JSON config document")
+    if command in (None, "run"):
+        rn.add_argument("--config", required=True, help="path to the JSON config document")
 
     return parser
 
@@ -593,7 +606,9 @@ def _config_from_args(args: argparse.Namespace) -> Dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so the first other word names the subcommand
+    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         if args.command == "plot-script":
@@ -606,7 +621,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except StepSizeRejection as exc:
+    except (StepSizeRejection, NonFiniteStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

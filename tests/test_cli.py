@@ -6,6 +6,7 @@ import math
 import pytest
 
 from carl.cli import main
+from carl.cli import build_parser
 
 GAMMA_WAO_AB1 = 0.56227951206230124
 
@@ -190,6 +191,13 @@ class TestConfigRoundTrip:
             runs[how] = (out, [(workdir / name).read_bytes() for name in outputs])
         assert runs["flags"] == runs["config"]
 
+    def test_integral_float_eta_in_scaled_block(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mode": "spectrum", "scaled": dict(SCALED_WAO, eta=1.0), "options": {}}))
+        code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0
+        assert "Γ = 0.56228, Case II" in out
+
     def test_spectrum_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -302,9 +310,10 @@ class TestBadOptionValues:
               "options": {"axis": "delta21", "from": -1, "to": 3, "points": 5.7, "output": "c.csv"}},
              ["points", "5.7"]),
             ({"mode": "spectrum", "scaled": SCALED_WAO, "options": {"eta": 1.5}}, ["eta", "1.5"]),
+            ({"mode": "spectrum", "scaled": dict(SCALED_WAO, eta=1.5), "options": {}}, ["eta", "1.5"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
-             "points-fraction", "eta-fraction"],
+             "points-fraction", "eta-fraction", "scaled-eta-fraction"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)
@@ -395,6 +404,18 @@ class TestEvolveMode:
         )
         assert code == 2
         assert "reduce dt" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_exit_code_2_and_no_file(self, capsys, tmp_path):
+        out = tmp_path / "f.csv"
+        code, stdout, err = run_cli(
+            capsys,
+            "evolve", "--delta21", "0.5", "--alpha-beta", "1", "--eta", "1",
+            "--tau-end", "1500", "--dt", "0.01", "--stride", "1000", "-o", str(out),
+        )
+        assert code == 2
+        assert err.startswith("numerical failure: ") and "float range at tau = " in err
+        assert stdout == "" and not out.exists()
 
 
 class TestThresholdMode:
@@ -515,3 +536,19 @@ class TestHelp:
                 main([mode, "--help"])
             assert exc.value.code == 0
             assert capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["bogus"], []]
+        + [[mode, "--help"] for mode in ("spectrum", "curve", "threshold", "evolve", "mass-study", "validate", "plot-script", "run")],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_output_matches_fully_built_parser(self, capsys, argv):
+        # main builds only the selected subcommand's arguments
+        with pytest.raises(SystemExit) as full:
+            build_parser().parse_args(argv)
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert capsys.readouterr() == expected
+        assert got.value.code == full.value.code

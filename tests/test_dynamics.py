@@ -23,6 +23,7 @@ from carl import (
     write_trajectory_csv,
 )
 from carl.dynamics import _BLOCK, _rk4_step_matrix
+from carl.dynamics import _CHUNK, NonFiniteStateError
 
 SEED_STATE = TrajectoryState(tau=0.0, A1=1e-6 + 0j, B=0j, Bdot=0j)
 
@@ -352,3 +353,91 @@ class TestEvolveObservability:
     def test_defaults_keep_old_constructor(self):
         traj = Trajectory(samples=(SEED_STATE,), params=decoupled(WAO), dt=1e-3)
         assert traj.steps == 0 and traj.max_step_error == 0.0
+
+
+class TestChunkEdges:
+    # exactly one chunk, one chunk and one step, three chunks and a shortened step
+    SPANS = {"one_chunk": (_CHUNK, 1e-3), "one_chunk_plus_one": (_CHUNK + 1, 1e-3), "three_chunks_short": (3 * _CHUNK + 0.5, 1e-3)}
+
+    @pytest.mark.parametrize("stride", [1, 7, 1000])
+    @pytest.mark.parametrize("span", sorted(SPANS))
+    def test_samples_states_and_flag(self, span, stride):
+        steps, dt = self.SPANS[span]
+        p = ScaledParams.from_product(0.5, 1.0, WAO)
+        init = TrajectoryState(0.0, 1e-3 + 0j, 0j, 0j)
+        traj = evolve(p, init, tau_end=steps * dt, dt=dt, output_stride=stride)
+        taus, states, flag, errs = reference_evolve(p, init, steps * dt, dt, stride)
+        assert [s.tau for s in traj.samples] == taus
+        got = np.array([s.as_vector() for s in traj.samples])
+        rel = np.linalg.norm(got - states, axis=1) / np.linalg.norm(states, axis=1)
+        assert rel.max() <= 1e-12
+        assert traj.linearity_flag == flag
+        assert traj.steps == len(errs)
+        assert traj.max_step_error == pytest.approx(max(errs), rel=1e-9)
+
+    def test_rejection_first_reached_in_second_chunk(self):
+        p = ScaledParams.from_product(2.5, 0.4, WAO)
+        dt, tau_end = 0.02, 100.0
+        _, _, _, errs = reference_evolve(p, SEED_STATE, tau_end, dt, 100, error_tol=math.inf)
+        running = np.maximum.accumulate(errs)
+        j = next(j for j in range(_CHUNK, len(errs)) if errs[j] > running[j - 1] * (1.0 + 1e-6))
+        assert j < 2 * _CHUNK
+        tol = 0.5 * (running[j - 1] + errs[j])
+        with pytest.raises(StepSizeRejection) as ref:
+            reference_evolve(p, SEED_STATE, tau_end, dt, 100, error_tol=tol)
+        with pytest.raises(StepSizeRejection, match="reduce dt") as got:
+            evolve(p, SEED_STATE, tau_end=tau_end, dt=dt, error_tol=tol)
+        assert rejection_tau(got) == rejection_tau(ref) == pytest.approx((j + 1) * dt)
+
+    def test_linearity_flag_crossing_in_later_chunk(self):
+        p = ScaledParams.from_product(0.0, 1.0, WAO)
+        init = TrajectoryState(0.0, 1e-2 + 0j, 0j, 0j)
+        traj = evolve(p, init, tau_end=12.0, dt=1e-3, output_stride=100)
+        _, _, flag, _ = reference_evolve(p, init, 12.0, 1e-3, 100)
+        assert flag is not None and flag > 3 * _CHUNK * 1e-3
+        assert traj.linearity_flag == flag
+
+    def test_memory_follows_the_chunk_not_the_span(self):
+        # 10^6 steps of a harmonic oscillator; the states of the whole span would take 48 MB
+        tracemalloc = pytest.importorskip("tracemalloc")
+        tracemalloc.start()
+        try:
+            traj = evolve(decoupled(WAO), TrajectoryState(0.0, 0j, 1.0 + 0j, 0j), tau_end=1000.0, dt=1e-3, output_stride=10**5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps == 10**6 and len(traj.samples) == 11
+        assert peak < 2 * 2**20
+
+
+@pytest.mark.filterwarnings("error")
+class TestFloatRange:
+    P = ScaledParams.from_product(0.5, 1.0, WAO)  # gamma = 0.56, above threshold
+
+    @pytest.mark.parametrize("a1, tau_end", [(1e-6, 700.0), (2.0**600, 10.0)])
+    def test_steps_past_squares_overflow_are_checked(self, a1, tau_end):
+        # |y|^2 overflows past |y| = 1e154; the estimate is scale-free, so a
+        # twin started 2^-900 (or 2^-700) smaller, which the same steps scale
+        # exactly, gives the same estimates and rejects at the same step
+        shift = 2.0**-900 if a1 < 1.0 else 2.0**-700
+        traj = evolve(self.P, TrajectoryState(0.0, a1 + 0j, 0j, 0j), tau_end, dt=0.01, output_stride=1000)
+        twin = evolve(self.P, TrajectoryState(0.0, a1 * shift + 0j, 0j, 0j), tau_end, dt=0.01, output_stride=1000)
+        assert 1e154 < abs(traj.samples[-1].A1) < math.inf
+        assert traj.max_step_error == twin.max_step_error > 0.0
+        tol = traj.max_step_error * (1.0 - 1e-9)
+        with pytest.raises(StepSizeRejection) as got:
+            evolve(self.P, TrajectoryState(0.0, a1 + 0j, 0j, 0j), tau_end, dt=0.01, error_tol=tol)
+        with pytest.raises(StepSizeRejection) as ref:
+            evolve(self.P, TrajectoryState(0.0, a1 * shift + 0j, 0j, 0j), tau_end, dt=0.01, error_tol=tol)
+        assert rejection_tau(got) == rejection_tau(ref)
+
+    def test_overflow_is_a_named_error_at_its_tau(self):
+        with pytest.raises(NonFiniteStateError, match="float range at tau = ") as excinfo:
+            evolve(self.P, SEED_STATE, tau_end=1500.0, dt=0.01, output_stride=1000)
+        tau = excinfo.value.tau
+        assert 1000.0 < tau < 1500.0
+        # one step fewer ends on a finite state
+        last = evolve(self.P, SEED_STATE, tau_end=tau - 0.01, dt=0.01, output_stride=1000).samples[-1]
+        assert np.all(np.isfinite(last.as_vector()))
+        with pytest.raises(NonFiniteStateError):
+            evolve(self.P, SEED_STATE, tau_end=tau, dt=0.01, output_stride=1000)

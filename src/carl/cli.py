@@ -422,31 +422,30 @@ def _inspect_result_csv(path: str) -> Dict:
     except OSError as exc:
         raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
     with f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, raw = body.partition(":")
-                    try:
-                        meta[key.strip()] = json.loads(raw.strip())
-                    except json.JSONDecodeError:
-                        meta[key.strip()] = raw.strip()
-                continue
-            if header is None:
-                header = line
-                got = [c.strip() for c in line.split(",")]
-                missing = [c for c in _CSV_COLUMNS.split(",") if c not in got]
-                if missing:
-                    raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}")
-                continue
+        text = f.read()
+    for line in text.split("\n"):
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if ":" in body:
+                key, _, raw = body.partition(":")
+                try:
+                    meta[key.strip()] = json.loads(raw.strip())
+                except json.JSONDecodeError:
+                    meta[key.strip()] = raw.strip()
+        elif header is None:
+            header = line
+            got = [c.strip() for c in line.split(",")]
+            missing = [c for c in _CSV_COLUMNS.split(",") if c not in got]
+            if missing:
+                raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}")
+        else:
             n_rows += 1
-            cells = line.split(",")
+            cells = line.split(",", 3)
             if len(cells) > 2 and cells[2] not in regimes:
                 regimes.append(cells[2])
-    if header is None or n_rows == 0:
+    if n_rows == 0:
         raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
     return {"meta": meta, "regimes": regimes, "rows": n_rows}
 

@@ -41,6 +41,8 @@ DEFAULT_BOUNDARY_TOL = 1e-12
 _SAFE_LO = 2.0**-128
 _SAFE_HI = 2.0**128
 
+_NORMAL_MIN = 2.0**-1022  # the smallest normal float
+
 # A real root this many times larger than the other two leaves them to the
 # quadratic factor it deflates to. The discriminant is about the root spread
 # squared times smaller than its terms, so its sign is lost to rounding once
@@ -208,6 +210,9 @@ def solve_cubics(b, c, d, tol: float = DEFAULT_BOUNDARY_TOL) -> CubicArrays:
     discriminant's sign is lost to rounding: those two then come from the
     quadratic factor ``x^2 + s1 x + s0`` (``s0 = -d/r0``, ``s1 = (s0 - c)/r0``),
     which also sets the nature, the discriminant and the boundary flag.
+    Where ``s0`` falls below the normal float range, the quadratic is formed
+    for ``y = x / 2**k`` at the binary exponent ``k`` of its root scale, so a
+    pair of normal size is not lost with it.
 
     The boundary flag is scale-free: the rescaled discriminant is divided by
     ``max(|p|^3, q^2, (b^2/3)^3)``, the sixth power of the root scale, or,
@@ -262,17 +267,29 @@ def solve_cubics(b, c, d, tol: float = DEFAULT_BOUNDARY_TOL) -> CubicArrays:
             & (abs(r0) > _SPREAD * np.maximum(abs(s1), np.sqrt(abs(s0))))
         ).nonzero()[0]
         if i.size:
-            r0, s0, s1 = r0[i], s0[i], s1[i]
+            r0, s0, s1, c0, d0 = r0[i], s0[i], s1[i], c0[i], d0[i]
+            # s0 = -d/r0 can fall below the normal range while the pair, of scale
+            # sqrt|s0|, does not: those rows form the quadratic for x = 2^k y, k the
+            # binary exponent of max(|s1|, sqrt|s0|); the others keep k = 0 and their bits
+            k = np.zeros(i.size, np.intc)
+            low = ((abs(s0) < _NORMAL_MIN) & (d0 != 0.0)).nonzero()[0]
+            if low.size:
+                scale = np.maximum(abs(s1[low]), np.sqrt(abs(d0[low])) / np.sqrt(abs(r0[low])))
+                k[low] = np.frexp(scale)[1]
+                s0[low] = -np.ldexp(d0[low], -2 * k[low]) / r0[low]
+                s1[low] = (np.ldexp(s0[low], k[low]) - np.ldexp(c0[low], -k[low])) / r0[low]
             h = -s1 / 2.0
             dq = h * h - s0  # a quarter of the quadratic's discriminant
-            g = r0 * (r0 + s1) + s0  # (r0 - r1)(r0 - r2)
-            disc[i] = np.where(dq == 0.0, 0.0, 4.0 * dq * g * g)
+            g = r0 * (r0 + np.ldexp(s1, k)) + np.ldexp(s0, 2 * k)  # (r0 - r1)(r0 - r2)
+            gm, eg = np.frexp(g)  # g^2 can overflow where the discriminant does not
+            disc[i] = np.where(dq == 0.0, 0.0, np.ldexp(4.0 * dq * gm * gm, 2 * (k + eg)))
             norm = h * h + abs(s0)
             normalized[i] = np.where(norm != 0.0, dq / norm, dq)
             t = h + np.copysign(np.sqrt(dq), h)
             pair = dq < 0.0
-            x[:, i] = np.stack((r0, np.where(pair, h, t), np.where(pair, h, np.where(t != 0.0, s0 / t, 0.0))))
-            y[i] = np.where(pair, np.sqrt(-dq), 0.0)
+            x[0, i] = r0
+            x[1:, i] = np.ldexp(np.stack((np.where(pair, h, t), np.where(pair, h, np.where(t != 0.0, s0 / t, 0.0)))), k)
+            y[i] = np.ldexp(np.where(pair, np.sqrt(-dq), 0.0), k)
 
     pair = y > 0.0
     roots = np.zeros((n, 3), complex)
@@ -323,14 +340,3 @@ def companion_roots(cubic: RealCubic) -> CubicRoots:
         disc = float(np.ldexp(disc, 6 * k))
     return CubicRoots(roots=tuple(complex(z) for z in eigs), nature=nature, discriminant=disc)
 
-
-def residual_scale(cubic: RealCubic) -> float:
-    """Normalization for root residuals: max(1, |b|, |c|, |d|) of the monic form."""
-    b, c, d = cubic.monic()
-    return max(1.0, abs(b), abs(c), abs(d))
-
-
-def monic_residual(cubic: RealCubic, root: complex) -> float:
-    """|x^3 + b x^2 + c x + d| at ``root``."""
-    b, c, d = cubic.monic()
-    return abs(((root + b) * root + c) * root + d)

@@ -246,10 +246,10 @@ def evolve(
     init : TrajectoryState
         Initial state; ``init.tau`` is the starting time.
     tau_end : float
-        Final scaled time, must exceed ``init.tau``. If the span is not an
-        integer number of steps, a single shortened final step is taken.
+        Final scaled time, finite and past ``init.tau``. If the span is not
+        an integer number of steps, a single shortened final step is taken.
     dt : float
-        Step size in scaled time.
+        Step size in scaled time, positive and finite.
     output_stride : int
         A sample is stored every this many steps (plus the initial and final
         states).
@@ -266,8 +266,12 @@ def evolve(
         With ``steps`` taken and the largest error estimate of any step,
         ``max_step_error``.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(tau_end):
+        raise ValueError(f"tau_end must be finite, got {tau_end}")
+    if not math.isfinite(init.tau):
+        raise ValueError(f"the initial tau must be finite, got {init.tau}")
     if not tau_end > init.tau:
         raise ValueError(f"tau_end ({tau_end}) must exceed the initial tau ({init.tau})")
     if output_stride < 1:

@@ -4,8 +4,14 @@ Everything here evaluates the spectrum module over grids and tabulates the
 results in a fixed, deterministic order so that identical inputs produce
 byte-identical CSV/JSON files. Gain curves and mass studies are columnar:
 one :func:`carl.spectrum.spectrum_arrays` call per regime fills whole
-columns of a :class:`SweepResult`, and the writers format rows straight
-from those columns.
+columns of a :class:`SweepResult`.
+
+Every writer fills one %-template per row or record from whole columns
+(``.tolist()``), without a dict or a per-value call per row: the sweep CSV
+and the polyline CSV spell floats ``%.17g``, the sweep JSON spells them as
+the json module does (``float.__repr__``, and ``NaN``, ``Infinity`` or
+``-Infinity`` when not finite) and passes only ``meta`` through
+``json.dumps``.
 
 The threshold map needs no root finding on a grid: the stability boundary is
 the graph of the closed-form critical alpha*beta over delta21 (the
@@ -24,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from carl._io import PathOrFile, text_sink, write_json
+from carl._io import PathOrFile, text_sink
 from carl._version import __version__
 from carl.dynamics import NonExponentialFitError, TrajectoryState, evolve, fit_growth_rate
 from carl.params import RAO, WAO, ScaledParams
@@ -378,30 +384,62 @@ def validate_sweep(
 
 _CSV_COLUMNS = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3"
 _CSV_ROW = "%s,%.17g,%s,%.17g,%s" + ",%.17g" * 6 + "\n"
+_POLYLINE_ROW = "%d,%.17g,%.17g\n"
+# one JSON record as json.dumps(indent=2, sort_keys=True) lays it out inside "records"
+_JSON_KEYS = sorted(_CSV_COLUMNS.split(","))
+_JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _JSON_KEYS) + "\n    }"
 
 
-def _rows(result: SweepResult):
-    """The rows of the CSV and JSON writers: axis name, then one value per remaining column."""
-    axis_name = result.meta.get("spec", {}).get("axis", "axis")
+def _named_columns(result: SweepResult) -> Tuple[object, Dict[str, np.ndarray]]:
+    """The axis name, and the other columns of the CSV and JSON writers by name."""
     lam = result.lambdas
-    parts = [lam[:, j // 2].imag if j % 2 else lam[:, j // 2].real for j in range(6)]
-    columns = (result.axis, result.regime, result.gamma, result.case, *parts)
-    return zip(repeat(axis_name), *(v.tolist() for v in columns))
+    columns = {"axis_value": result.axis, "regime": result.regime, "gamma": result.gamma, "case": result.case}
+    for j in range(3):
+        columns[f"re_l{j + 1}"], columns[f"im_l{j + 1}"] = lam[:, j].real, lam[:, j].imag
+    return result.meta.get("spec", {}).get("axis", "axis"), columns
+
+
+def _json_values(column: np.ndarray) -> list:
+    """A column as the json module spells its values, for ``%s``."""
+    values = column.tolist()
+    if column.dtype.kind in "UO":  # strings: each distinct one encoded once
+        spelled = {v: json.dumps(v) for v in set(values)}
+        return list(map(spelled.__getitem__, values))
+    # %s spells a finite float as float.__repr__, as json does; json spells the others NaN, Infinity, -Infinity
+    return values if np.isfinite(column).all() else list(map(json.dumps, values))
 
 
 def write_sweep_csv(result: SweepResult, path_or_file: PathOrFile) -> None:
     """Tabulate a sweep as CSV with ``#`` metadata lines and a header row."""
+    axis_name, columns = _named_columns(result)
+    rows = zip(repeat(axis_name), *(columns[key].tolist() for key in _CSV_COLUMNS.split(",")[1:]))
     with text_sink(path_or_file) as f:
         for key in sorted(result.meta):
             f.write(f"# {key}: {json.dumps(result.meta[key], sort_keys=True)}\n")
         f.write(_CSV_COLUMNS + "\n")
-        f.write("".join(_CSV_ROW % row for row in _rows(result)))
+        f.write("".join(_CSV_ROW % row for row in rows))
 
 
 def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
-    """Same records as the CSV writer, as one JSON document."""
-    keys = _CSV_COLUMNS.split(",")
-    write_json({"meta": result.meta, "records": [dict(zip(keys, row)) for row in _rows(result)]}, path_or_file)
+    """Same records as the CSV writer, as one JSON document.
+
+    The document is byte for byte ``json.dumps({"meta": ..., "records": [...]},
+    indent=2, sort_keys=True)`` plus a newline, each record an object keyed by
+    the CSV header. Only ``meta`` goes through ``json.dumps``; the records are
+    one template, its keys in sorted order, filled from whole columns. Floats
+    are spelled as the json module spells them: ``float.__repr__``, and
+    ``NaN``, ``Infinity`` or ``-Infinity`` when not finite; each distinct
+    string is encoded once.
+    """
+    axis_name, columns = _named_columns(result)
+    values = {key: _json_values(column) for key, column in columns.items()}
+    values["axis_name"] = repeat(json.dumps(axis_name))
+    records = ",\n".join(map(_JSON_RECORD.__mod__, zip(*(values[key] for key in _JSON_KEYS))))
+    records = f"[\n{records}\n  ]" if records else "[]"
+    # the meta object with its closing "\n}" cut off; "records" sorts after "meta"
+    head = json.dumps({"meta": result.meta}, indent=2, sort_keys=True)[:-2]
+    with text_sink(path_or_file) as f:
+        f.write(f'{head},\n  "records": {records}\n}}\n')
 
 
 def write_polylines_csv(
@@ -416,5 +454,4 @@ def write_polylines_csv(
             f.write(f"# {key}: {json.dumps(meta[key], sort_keys=True)}\n")
         f.write("branch_id,delta21,alpha_beta\n")
         for branch, line in enumerate(polylines):
-            for x, y in line:
-                f.write(f"{branch},{format(x, '.17g')},{format(y, '.17g')}\n")
+            f.write("".join(_POLYLINE_ROW % (branch, x, y) for x, y in np.asarray(line).tolist()))

@@ -5,8 +5,7 @@ import math
 
 import pytest
 
-from carl.cli import main
-from carl.cli import build_parser
+from carl.cli import ConfigError, _inspect_result_csv, build_parser, main
 
 GAMMA_WAO_AB1 = 0.56227951206230124
 
@@ -418,6 +417,28 @@ class TestEvolveMode:
         assert stdout == "" and not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tau-end", "inf", "tau_end must be finite, got inf"),
+            ("--tau-end", "nan", "tau_end must be finite, got nan"),
+            ("--dt", "inf", "dt must be positive and finite, got inf"),
+            ("--dt", "nan", "dt must be positive and finite, got nan"),
+        ],
+    )
+    def test_non_finite_span_or_step_exit_code_1(self, capsys, tmp_path, flag, value, message):
+        out = tmp_path / "f.csv"
+        argv = {"--tau-end": "10", "--dt": "1e-3", flag: value}
+        code, stdout, err = run_cli(
+            capsys,
+            "evolve", "--delta21", "0", "--alpha-beta", "1", "--eta", "1",
+            *(x for kv in argv.items() for x in kv), "-o", str(out),
+        )
+        assert code == 1
+        assert message in err
+        assert stdout == "" and not out.exists()
+
+
 class TestThresholdMode:
     def test_boundary_csv(self, capsys, tmp_path):
         out = tmp_path / "thr.csv"
@@ -511,6 +532,44 @@ class TestPlotScript:
         code, _, err = run_cli(capsys, "plot-script", str(bad), "-o", str(tmp_path / "x.gp"))
         assert code == 1
         assert "re_l1" in err
+
+    HEADER = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3"
+    ROW = "delta21,0.5,{},0.1,II,0,0,0,0,0,0"
+
+    @pytest.mark.parametrize(
+        "text, meta, regimes, rows",
+        [
+            # a '#' line after the header, and one without a colon
+            (f"# spec: {{\"axis\": \"delta21\"}}\n{HEADER}\n# note: not json\n#bare\n{ROW.format('RAO')}\n",
+             {"spec": {"axis": "delta21"}, "note": "not json"}, ["RAO"], 1),
+            # blank lines anywhere, and a header with padded cells
+            (f"\n\n{HEADER.replace(',', ' , ')}\n\n{ROW.format('RAO')}\n\n{ROW.format('WAO')}\n\n",
+             {}, ["RAO", "WAO"], 2),
+            # CRLF line ends
+            (f"# mass_ratio: 10\r\n{HEADER}\r\n{ROW.format('WAO')}\r\n", {"mass_ratio": 10}, ["WAO"], 1),
+            # a two-cell row counts as a row without a regime
+            (f"{HEADER}\ndelta21,0.5\n{ROW.format('RAO')}", {}, ["RAO"], 2),
+            # regimes keep the order of their first rows
+            (f"{HEADER}\n{ROW.format('WAO')}\n{ROW.format('WAO')}\n{ROW.format('RAO')}\n{ROW.format('WAO')}\n",
+             {}, ["WAO", "RAO"], 4),
+        ],
+        ids=["comment_after_header", "blank_lines", "crlf", "two_cells", "wao_first"],
+    )
+    def test_inspect_hand_written(self, tmp_path, text, meta, regimes, rows):
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _inspect_result_csv(str(path)) == {"meta": meta, "regimes": regimes, "rows": rows}
+
+    def test_inspect_header_without_rows_and_missing_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(f"# spec: {{}}\n{self.HEADER}\n\n# late: 1\n")
+        with pytest.raises(ConfigError, match="no data rows"):
+            _inspect_result_csv(str(path))
+        path.write_text("# spec: {}\n\n")
+        with pytest.raises(ConfigError, match="no data rows"):
+            _inspect_result_csv(str(path))
+        with pytest.raises(ConfigError, match="cannot read result file"):
+            _inspect_result_csv(str(tmp_path / "absent.csv"))
 
     def test_empty_result_file_is_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"

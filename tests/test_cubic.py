@@ -9,7 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carl import RealCubic, RootNature, classify, companion_roots, solve_cubic
-from carl.cubic import monic_residual, residual_scale
+
+
+def residual_scale(cubic):
+    """Normalization for root residuals: max(1, |b|, |c|, |d|) of the monic form."""
+    b, c, d = cubic.monic()
+    return max(1.0, abs(b), abs(c), abs(d))
+
+
+def monic_residual(cubic, root):
+    """|x^3 + b x^2 + c x + d| at ``root``."""
+    b, c, d = cubic.monic()
+    return abs(((root + b) * root + c) * root + d)
 
 
 def root_set_distance(a, b):

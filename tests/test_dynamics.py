@@ -64,6 +64,14 @@ class TestEvolveMechanics:
             evolve(p, SEED_STATE, tau_end=1.0, dt=-1e-3)
         with pytest.raises(ValueError):
             evolve(p, SEED_STATE, tau_end=1.0, output_stride=0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"dt must be positive and finite, got {bad}"):
+                evolve(p, SEED_STATE, tau_end=1.0, dt=bad)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"tau_end must be finite, got {bad}"):
+                evolve(p, SEED_STATE, tau_end=bad)
+        with pytest.raises(ValueError, match="initial tau must be finite, got -inf"):
+            evolve(p, TrajectoryState(-math.inf, SEED_STATE.A1, 0j, 0j), tau_end=1.0)
 
     def test_taus_strictly_increasing_and_stride(self):
         p = ScaledParams.from_product(0.0, 1.0, WAO)

@@ -14,6 +14,7 @@ from carl import (
     RAO,
     WAO,
     ScaledParams,
+    SweepResult,
     SweepSpec,
     eigen_spectrum,
     gain_curve,
@@ -314,6 +315,59 @@ class TestSerialization:
         assert all(len(r) == 3 for r in rows)
         branch_ids = sorted({int(r[0]) for r in rows})
         assert branch_ids == list(range(len(lines)))
+
+    @staticmethod
+    def reference_json(result):
+        # the reference: one dict per row, the whole document through json.dumps
+        keys = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3".split(",")
+        axis_name = result.meta.get("spec", {}).get("axis", "axis")
+        rows = [
+            [axis_name, r.axis_value, r.regime, r.gamma, r.case, *(part for l in r.lambdas for part in (l.real, l.imag))]
+            for r in result.records
+        ]
+        doc = {"meta": result.meta, "records": [dict(zip(keys, row)) for row in rows]}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [gain_curve(SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=201, fixed=1.7))],
+            lambda: [gain_curve(SweepSpec(axis="alpha_beta", start=0.01, stop=5.0, num_points=201, fixed=0.3))],
+            lambda: [gain_curve(SweepSpec(axis="delta21", start=-1.0, stop=3.0, num_points=51, fixed=0.5, regimes=("WAO",)))],
+            lambda: mass_study(2.5, [1.0, 10.0, 100.0], num_points=101),
+            lambda: [gain_curve(SweepSpec(axis="delta21", start=-1.0, stop=2.0, num_points=11, fixed=1.0), timestamp="2026-08-10T00:00:00Z")],
+        ],
+        ids=["delta21", "alpha_beta", "wao_only", "mass_study", "timestamp"],
+    )
+    def test_json_bytes_match_one_dict_per_row(self, make):
+        results = make()
+        for result in results:
+            buf = io.StringIO()
+            write_sweep_json(result, buf)
+            assert buf.getvalue() == self.reference_json(result)
+        if "mass_ratio" in results[0].meta:
+            # the signed zeros of the converted eigenvalues reach the file
+            assert any('": -0.0' in self.reference_json(r) for r in results)
+
+    def test_json_bytes_non_finite_and_empty(self):
+        lam = np.array([[complex(np.nan, 1.0), complex(np.inf, -np.inf), 0j]])
+        one = lambda v, dt=float: np.array([v], dtype=dt)
+        rows = SweepResult(one(np.inf), one("RAO", str), one(np.nan), one("II", str), lam, one(False, bool), {"spec": {"axis": "delta21"}})
+        empty = SweepResult(np.zeros(0), np.zeros(0, str), np.zeros(0), np.zeros(0, str), np.zeros((0, 3), complex), np.zeros(0, bool), {})
+        for result in (rows, empty):
+            buf = io.StringIO()
+            write_sweep_json(result, buf)
+            assert buf.getvalue() == self.reference_json(result)
+
+    @pytest.mark.parametrize("eta", [RAO, WAO])
+    def test_polylines_bytes_match_per_vertex_format(self, eta):
+        for lines in (threshold_map((-4.0, 6.0), (1e-6, 40.0), eta, resolution=64), []):
+            buf = io.StringIO()
+            write_polylines_csv(lines, buf, meta={"eta": eta, "window": [-4.0, 6.0]})
+            want = f'# eta: {eta}\n# window: [-4.0, 6.0]\nbranch_id,delta21,alpha_beta\n' + "".join(
+                f"{branch},{format(x, '.17g')},{format(y, '.17g')}\n" for branch, line in enumerate(lines) for x, y in line
+            )
+            assert buf.getvalue() == want
 
     def test_records_spot_check_invariants(self):
         # every record satisfies the spectrum Vieta identities (1% spot check)

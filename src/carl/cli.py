@@ -450,6 +450,17 @@ def _inspect_result_csv(path: str) -> Dict:
     return {"meta": meta, "regimes": regimes, "rows": n_rows}
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a gnuplot single-quoted string, in which a quote is doubled.
+
+    A line break ends a gnuplot command, so text holding one is rejected.
+    """
+    text = str(text)
+    if "\n" in text or "\r" in text:
+        raise ConfigError(f"{text!r} holds a line break, which a gnuplot string cannot")
+    return "'" + text.replace("'", "''") + "'"
+
+
 def emit_plot_script(
     result_paths: Sequence[str],
     style: str,
@@ -475,7 +486,7 @@ def emit_plot_script(
         "set grid",
     ]
     axis = infos[0][1]["meta"].get("spec", {}).get("axis", "delta21")
-    lines.append(f"set xlabel '{axis} (scaled units)'")
+    lines.append(f"set xlabel {_quoted(f'{axis} (scaled units)')}")
     lines.append("set ylabel 'growth rate (scaled units)'")
     plot_clauses = []
     for path, info in infos:
@@ -492,8 +503,8 @@ def emit_plot_script(
                 continue
             dash = " dashtype 2" if regime == "RAO" else ""
             plot_clauses.append(
-                f"  '{path}' using 2:(strcol(3) eq '{regime}' ? column(4) : NaN) "
-                f"with lines lw 2{dash} title '{regime} {label}'"
+                f"  {_quoted(path)} using 2:(strcol(3) eq '{regime}' ? column(4) : NaN) "
+                f"with lines lw 2{dash} title {_quoted(f'{regime} {label}')}"
             )
     lines.append("plot \\")
     lines.append(", \\\n".join(plot_clauses))
@@ -554,12 +565,32 @@ def _block_from_args(args: argparse.Namespace) -> Dict:
     return {"scaled": {"delta21": delta21, "alpha": alpha, "beta": beta, "eta": eta}}
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The ``carl`` parser; given ``command``, only that subcommand gets its arguments.
+# the subcommands and their help, in the order the top-level help lists them
+_COMMANDS: Dict[str, str] = {
+    **{name: mode.help for name, mode in MODES.items()},
+    "plot-script": "emit a gnuplot script for sweep result files",
+    "run": "execute a JSON config file (flag-equivalent)",
+}
 
-    Every subcommand is registered with its help either way, so the top-level
-    help and an invalid-choice error do not depend on ``command``.
-    """
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """Register the arguments of one subcommand on ``parser``."""
+    if command == "plot-script":
+        parser.add_argument("results", nargs="+", help="sweep CSV file(s) produced by curve/mass-study")
+        parser.add_argument("--style", choices=("fig1", "mass-study"), default="fig1", help="labeling convention")
+        parser.add_argument("-o", "--output", required=True, help="gnuplot script path")
+    elif command == "run":
+        parser.add_argument("--config", required=True, help="path to the JSON config document")
+    else:
+        mode = MODES[command]
+        if mode.block:
+            _add_scaled_flags(parser, with_eta=mode.eta)
+        for o in mode.options:
+            _add_option(parser, o)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``carl`` parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="carl",
         description="Linear stability and dynamics of the collective atomic-recoil laser. "
@@ -568,27 +599,28 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"carl {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    for name, mode in MODES.items():
-        sub = subs.add_parser(name, help=mode.help)
-        if command not in (None, name):
-            continue
-        if mode.block:
-            _add_scaled_flags(sub, with_eta=mode.eta)
-        for o in mode.options:
-            _add_option(sub, o)
-
-    ps = subs.add_parser("plot-script", help="emit a gnuplot script for sweep result files")
-    if command in (None, "plot-script"):
-        ps.add_argument("results", nargs="+", help="sweep CSV file(s) produced by curve/mass-study")
-        ps.add_argument("--style", choices=("fig1", "mass-study"), default="fig1", help="labeling convention")
-        ps.add_argument("-o", "--output", required=True, help="gnuplot script path")
-
-    rn = subs.add_parser("run", help="execute a JSON config file (flag-equivalent)")
-    if command in (None, "run"):
-        rn.add_argument("--config", required=True, help="path to the JSON config document")
-
+    for name, help_text in _COMMANDS.items():
+        _add_arguments(subs.add_parser(name, help=help_text), name)
     return parser
+
+
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse a command line, building only the parser of the subcommand it names.
+
+    A subcommand's arguments are parsed by a parser of their own, as the full
+    parser's subparser would parse them, so their help and their errors read
+    the same. A command line that does not start with a subcommand, or leaves
+    arguments over, goes to the full parser, whose top-level help, version
+    and "unrecognized arguments" message it then gets.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"carl {argv[0]}")
+        _add_arguments(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _config_from_args(args: argparse.Namespace) -> Dict:
@@ -606,9 +638,7 @@ def _config_from_args(args: argparse.Namespace) -> Dict:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top level takes no option with a value, so the first other word names the subcommand
-    parser = build_parser(next((a for a in argv if not a.startswith("-")), None))
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "plot-script":
             emit_plot_script(args.results, args.style, args.output)

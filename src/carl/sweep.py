@@ -6,12 +6,13 @@ byte-identical CSV/JSON files. Gain curves and mass studies are columnar:
 one :func:`carl.spectrum.spectrum_arrays` call per regime fills whole
 columns of a :class:`SweepResult`.
 
-Every writer fills one %-template per row or record from whole columns
-(``.tolist()``), without a dict or a per-value call per row: the sweep CSV
-and the polyline CSV spell floats ``%.17g``, the sweep JSON spells them as
-the json module does (``float.__repr__``, and ``NaN``, ``Infinity`` or
-``-Infinity`` when not finite) and passes only ``meta`` through
-``json.dumps``.
+The CSV writers (sweeps here, trajectories in :mod:`carl.dynamics`) build
+their rows with :func:`carl._io.csv_rows`, which spells every float exactly
+as ``'%.17g' % x`` does but from whole arrays, in blocks of rows. The sweep
+JSON fills one %-template per record from whole columns (``.tolist()``),
+spells floats as the json module does (``float.__repr__``, and ``NaN``,
+``Infinity`` or ``-Infinity`` when not finite) and passes only ``meta``
+through ``json.dumps``.
 
 The threshold map needs no root finding on a grid: the stability boundary is
 the graph of the closed-form critical alpha*beta over delta21 (the
@@ -30,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from carl._io import PathOrFile, text_sink
+from carl._io import PathOrFile, csv_rows, text_sink
 from carl._version import __version__
 from carl.dynamics import NonExponentialFitError, TrajectoryState, evolve, fit_growth_rate
 from carl.params import RAO, WAO, ScaledParams
@@ -383,8 +384,7 @@ def validate_sweep(
 # ---------------------------------------------------------------------------
 
 _CSV_COLUMNS = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3"
-_CSV_ROW = "%s,%.17g,%s,%.17g,%s" + ",%.17g" * 6 + "\n"
-_POLYLINE_ROW = "%d,%.17g,%.17g\n"
+_TEXT_COLUMNS = ("regime", "case")
 # one JSON record as json.dumps(indent=2, sort_keys=True) lays it out inside "records"
 _JSON_KEYS = sorted(_CSV_COLUMNS.split(","))
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _JSON_KEYS) + "\n    }"
@@ -412,12 +412,13 @@ def _json_values(column: np.ndarray) -> list:
 def write_sweep_csv(result: SweepResult, path_or_file: PathOrFile) -> None:
     """Tabulate a sweep as CSV with ``#`` metadata lines and a header row."""
     axis_name, columns = _named_columns(result)
-    rows = zip(repeat(axis_name), *(columns[key].tolist() for key in _CSV_COLUMNS.split(",")[1:]))
+    fields = [str(axis_name)]
+    fields += [columns[key] if key in _TEXT_COLUMNS else np.asarray(columns[key], dtype=float) for key in _CSV_COLUMNS.split(",")[1:]]
     with text_sink(path_or_file) as f:
         for key in sorted(result.meta):
             f.write(f"# {key}: {json.dumps(result.meta[key], sort_keys=True)}\n")
         f.write(_CSV_COLUMNS + "\n")
-        f.write("".join(_CSV_ROW % row for row in rows))
+        f.writelines(csv_rows(fields, len(result.axis)))
 
 
 def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
@@ -453,5 +454,7 @@ def write_polylines_csv(
         for key in sorted(meta or {}):
             f.write(f"# {key}: {json.dumps(meta[key], sort_keys=True)}\n")
         f.write("branch_id,delta21,alpha_beta\n")
-        for branch, line in enumerate(polylines):
-            f.write("".join(_POLYLINE_ROW % (branch, x, y) for x, y in np.asarray(line).tolist()))
+        lines = [np.asarray(line, dtype=float).reshape(len(line), 2) for line in polylines]
+        points = np.concatenate(lines) if lines else np.zeros((0, 2))
+        branch = np.repeat(np.arange(len(lines)), [len(line) for line in lines])
+        f.writelines(csv_rows([branch, points[:, 0], points[:, 1]], len(points)))

@@ -507,6 +507,33 @@ class TestPlotScript:
         assert "ab=0.1" in text and "ab=5" in text
         assert text.count("dashtype 2") == 2  # RAO dashed
 
+    def test_quote_in_path_is_doubled(self, capsys, tmp_path):
+        # gnuplot ends a single-quoted string at a lone quote; inside one, '' stands for '
+        a = self.make_curve(capsys, tmp_path, "it's.csv", "0.1")
+        script = tmp_path / "q.gp"
+        code, _, _ = run_cli(capsys, "plot-script", str(a), "-o", str(script))
+        assert code == 0
+        text = script.read_text()
+        quoted = "'" + str(a).replace("'", "''") + "'"
+        assert text.count(quoted + " using") == 2
+        assert str(a) + "'" not in text.replace(quoted, "")
+
+    @pytest.mark.parametrize("where", ["path", "axis"])
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_line_break_is_rejected(self, capsys, tmp_path, where, brk):
+        # a line break would end the quoted string and start a new gnuplot command
+        if where == "path":
+            a = self.make_curve(capsys, tmp_path, f"a{brk}system('true').csv")
+        else:
+            a = self.make_curve(capsys, tmp_path)
+            text = a.read_text().replace('"axis": "delta21"', '"axis": "x' + json.dumps(brk)[1:-1] + "system('true')\"", 1)
+            a.write_text(text)
+        script = tmp_path / "q.gp"
+        code, _, err = run_cli(capsys, "plot-script", str(a), "-o", str(script))
+        assert code == 1
+        assert "line break" in err
+        assert not script.exists()
+
     def test_mass_study_style_solid_wao_dashed_rao(self, capsys, tmp_path):
         stem = tmp_path / "fig2"
         run_cli(capsys, "mass-study", "--alpha-beta-base", "5", "--ratios", "1,10",
@@ -598,12 +625,20 @@ class TestHelp:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--help"], ["bogus"], []]
-        + [[mode, "--help"] for mode in ("spectrum", "curve", "threshold", "evolve", "mass-study", "validate", "plot-script", "run")],
+        [["--help"], ["bogus"], [], ["-h", "curve"]]
+        + [[mode, "--help"] for mode in ("spectrum", "curve", "threshold", "evolve", "mass-study", "validate", "plot-script", "run")]
+        + [
+            ["curve", "--axis", "delta21"],
+            ["curve", "--axis", "bogus", "--from", "0", "--to", "1", "--points", "5", "-o", "x.csv"],
+            ["evolve", "--tau-end", "1", "--a1-seed", "x", "-o", "x.csv"],
+            ["curve", "--axis", "delta21", "--from", "0", "--to", "1", "--points", "5", "-o", "x.csv", "--bogus"],
+            ["curve", "--axis", "delta21", "--from", "0", "--to", "1", "--points", "5", "-o", "x.csv", "--version"],
+            ["plot-script", "a.csv", "--bogus", "-o", "x.gp"],
+        ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
     def test_output_matches_fully_built_parser(self, capsys, argv):
-        # main builds only the selected subcommand's arguments
+        # main parses a subcommand's arguments with that subcommand's parser alone
         with pytest.raises(SystemExit) as full:
             build_parser().parse_args(argv)
         expected = capsys.readouterr()

@@ -24,7 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from carl._io import text_sink, write_json
@@ -134,7 +134,7 @@ def _scaled_from_config(config: Dict, eta: Optional[int]) -> ScaledParams:
             beta=float(block["beta"]),
             eta=regime,
         )
-        return params if eta is None else params.with_eta(eta)
+        return params if eta is None else replace(params, eta=eta)
     phys = PhysicalParams(
         dipole_moment=float(block["mu"]),
         quantization_volume=float(block["V"]),
@@ -253,9 +253,8 @@ def _run_evolve(params: ScaledParams, options: Dict) -> int:
     init = TrajectoryState(tau=0.0, A1=options["a1_seed"], B=options["b0"], Bdot=options["bdot0"])
     traj = evolve(params, init, tau_end=options["tau_end"], dt=options["dt"], output_stride=options["stride"])
     write_trajectory_csv(traj, options["output"])
-    last = traj.samples[-1]
     flag = "within linear regime" if traj.linearity_flag is None else f"|B|>1 from tau={traj.linearity_flag:.6g}"
-    print(f"evolve: {len(traj.samples)} samples to tau={last.tau:g}, |A1|={abs(last.A1):.6g} ({flag}) -> {options['output']}")
+    print(f"evolve: {len(traj.tau)} samples to tau={traj.tau[-1]:g}, |A1|={abs(complex(traj.y[-1, 0])):.6g} ({flag}) -> {options['output']}")
     return 0
 
 
@@ -490,14 +489,11 @@ def emit_plot_script(
     lines.append("set ylabel 'growth rate (scaled units)'")
     plot_clauses = []
     for path, info in infos:
-        spec_meta = info["meta"].get("spec", {})
         if style == "mass-study":
-            label = f"m/m0={info['meta'].get('mass_ratio', '?'):g}" if isinstance(
-                info["meta"].get("mass_ratio"), (int, float)
-            ) else "m/m0=?"
+            name, value, unknown = "m/m0", info["meta"].get("mass_ratio"), "m/m0=?"
         else:
-            fixed = spec_meta.get("fixed")
-            label = f"ab={fixed:g}" if isinstance(fixed, (int, float)) else "fixed=?"
+            name, value, unknown = "ab", info["meta"].get("spec", {}).get("fixed"), "fixed=?"
+        label = f"{name}={value:g}" if isinstance(value, (int, float)) else unknown
         for regime in ("RAO", "WAO"):
             if regime not in info["regimes"]:
                 continue

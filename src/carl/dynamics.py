@@ -25,6 +25,7 @@ gamma.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -36,6 +37,7 @@ from carl.spectrum import eigen_spectrum
 
 __all__ = [
     "TrajectoryState",
+    "TrajectorySamples",
     "Trajectory",
     "StepSizeRejection",
     "NonFiniteStateError",
@@ -90,30 +92,76 @@ class TrajectoryState:
         return np.array([self.A1, self.B, self.Bdot], dtype=complex)
 
 
+class TrajectorySamples(Sequence):
+    """Read-only columns ``tau`` ``(n,)`` and ``y`` ``(n, 3)`` (A1, B, Bdot), read as states.
+
+    A :class:`TrajectoryState` is built only when indexed; a slice gives a
+    tuple of them. Equality and hashing are by value.
+    """
+
+    def __init__(self, tau: np.ndarray, y: np.ndarray):
+        self.tau, self.y = tau, y
+        tau.flags.writeable = y.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.tau)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(TrajectoryState, self.tau[i].tolist(), *self.y[i].T.tolist()))
+        return TrajectoryState(float(self.tau[i]), *self.y[i].tolist())
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def __eq__(self, other):
+        return isinstance(other, TrajectorySamples) and np.array_equal(self.tau, other.tau) and np.array_equal(self.y, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.tau + 0.0).tobytes() + (self.y + 0.0).tobytes())  # + 0.0 makes -0.0 0.0, its equal
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled evolution plus the parameters and step that produced it.
 
-    ``linearity_flag`` is the tau of the first step after which |B| exceeded
-    1; beyond that point the linearized model no longer represents the
-    physical bunching (|B| <= 1 for any real density grating), although the
-    linear system itself remains well defined. ``steps`` counts the RK4
-    steps taken (a shortened final step included) and ``max_step_error`` is
-    the largest step-doubling error estimate among them.
+    ``samples`` holds the columns :attr:`tau` and :attr:`y` as a
+    :class:`TrajectorySamples`; a sequence of :class:`TrajectoryState` given
+    instead is converted to one. ``linearity_flag`` is the tau of the first
+    step after which |B| exceeded 1; beyond that point the linearized model
+    no longer represents the physical bunching (|B| <= 1 for any real
+    density grating), although the linear system itself remains well
+    defined. ``steps`` counts the RK4 steps taken (a shortened final step
+    included) and ``max_step_error`` is the largest step-doubling error
+    estimate among them.
     """
 
-    samples: Tuple[TrajectoryState, ...]
+    samples: Sequence[TrajectoryState]
     params: ScaledParams
     dt: float
     linearity_flag: Optional[float] = None
     steps: int = 0
     max_step_error: float = 0.0
 
+    def __post_init__(self):
+        if not isinstance(self.samples, TrajectorySamples):
+            rows = np.array([(s.tau, s.A1, s.B, s.Bdot) for s in self.samples], dtype=complex).reshape(-1, 4)
+            object.__setattr__(self, "samples", TrajectorySamples(rows[:, 0].real.copy(), rows[:, 1:].copy()))
+
+    @property
+    def tau(self) -> np.ndarray:
+        return self.samples.tau
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.samples.y
+
     def taus(self) -> np.ndarray:
-        return np.array([s.tau for s in self.samples])
+        return self.tau
 
     def probe_magnitudes(self) -> np.ndarray:
-        return np.array([abs(s.A1) for s in self.samples])
+        """|A1| of every sample, bit for bit Python's ``abs`` (hypot; numpy's complex abs is off by an ulp at times)."""
+        return np.abs(np.hypot(self.y[:, 0].real, self.y[:, 0].imag))
 
 
 def system_matrix(s: ScaledParams) -> np.ndarray:
@@ -154,11 +202,9 @@ def _step_powers(m: np.ndarray, h: float, k: int) -> Tuple[np.ndarray, np.ndarra
     step-doubling difference of the ``j``-th step. ``F^k``, the step of the
     block chain, comes back as nested lists of Python complex numbers.
     ``F^j`` for ``j <= min(k, 16)`` and ``F^(16a)`` are built one factor at
-    a time in extended precision, then every ``F^(16a + j)`` in one product,
-    so a shortened final step (``k = 1``) forms ``F`` alone. In
-    double, the rounding of ``F^16`` compounds over the chain: a stable WAO
-    trajectory of 15 403 steps drifted 4.9e-12 from a step-by-step loop,
-    against 6.4e-13 for a one-factor table and 2.1e-13 for this one.
+    a time in extended precision, so that rounding does not compound along
+    the chain, then every ``F^(16a + j)`` in one product; a shortened final
+    step (``k = 1``) forms ``F`` alone.
     """
     full = _rk4_step_matrix(m, h)
     half = _rk4_step_matrix(m, h / 2.0)
@@ -264,8 +310,8 @@ def evolve(
     Returns
     -------
     Trajectory
-        With ``steps`` taken and the largest error estimate of any step,
-        ``max_step_error``.
+        Its ``tau`` and ``y`` columns allocated once and filled chunk by chunk,
+        ``steps`` taken and the largest error estimate of any step, ``max_step_error``.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -286,9 +332,15 @@ def evolve(
 
     m = system_matrix(s)
     y = init.as_vector().tolist()
-    samples: List[TrajectoryState] = [init]
     linearity_flag = None if abs(init.B) <= 1.0 else init.tau
     max_err = 0.0
+    # samples: the initial state, every output_stride-th step before the last one, the final state
+    before_last = max(n_full - (remainder == 0.0), 0)
+    n = 2 + before_last // output_stride
+    tau, out = np.empty(n), np.empty((n, 3), dtype=complex)
+    tau[0], out[0] = init.tau, y
+    tau[1:-1] = init.tau + np.arange(1, n - 1) * output_stride * dt
+    tau[-1] = init.tau + n_full * dt if remainder == 0.0 else tau_end
 
     def chunks():  # (table, step, steps before the chunk, taus)
         if n_full:
@@ -305,19 +357,14 @@ def evolve(
             max_err = max(max_err, err)
             if linearity_flag is None:
                 linearity_flag = crossed
-            # every output_stride-th step up to, not including, the final state
-            first = (start // output_stride + 1) * output_stride
-            last = min(start + len(taus), n_full - (remainder == 0.0))
-            if first <= last:
-                picked = ys[first - start - 1 : last - start : output_stride].T.tolist()
-                taus = init.tau + np.arange(first, last + 1, output_stride) * dt
-                samples.extend(map(TrajectoryState, taus.tolist(), *picked))
+            # samples a..b-1 are the steps k * output_stride in this chunk; copied, no view of ys outlives it
+            a, b = start // output_stride + 1, min(start + len(taus), before_last) // output_stride + 1
+            out[a:b] = ys[a * output_stride - start - 1 : b * output_stride - start - 1 : output_stride]
             y = ys[-1].tolist()
 
-    final_tau = init.tau + n_full * dt if remainder == 0.0 else tau_end
-    samples.append(TrajectoryState(final_tau, *y))
+    out[-1] = y
     return Trajectory(
-        samples=tuple(samples),
+        samples=TrajectorySamples(tau, out),
         params=s,
         dt=dt,
         linearity_flag=linearity_flag,
@@ -331,8 +378,7 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(a, ord=np.inf))
     squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
     b = a / (2.0**squarings)
-    result = np.eye(3, dtype=complex)
-    term = np.eye(3, dtype=complex)
+    result = term = np.eye(3, dtype=complex)
     for k in range(1, 40):
         term = term @ b / k
         result = result + term
@@ -357,17 +403,10 @@ def propagator(s: ScaledParams, tau: float) -> np.ndarray:
     m = system_matrix(s)
     lambdas = eigen_spectrum(s).lambdas
 
-    gap = min(
-        abs(lambdas[i] - lambdas[j]) for i in range(3) for j in range(i + 1, 3)
-    )
-    if gap < 1e-6:
+    if min(abs(lambdas[i] - lambdas[j]) for i, j in ((0, 1), (0, 2), (1, 2))) < 1e-6:
         return _expm_taylor(tau * m)
-
-    columns = []
-    for lam in lambdas:
-        _, _, vh = np.linalg.svd(m - lam * np.eye(3, dtype=complex))
-        columns.append(vh[-1].conj())
-    v = np.column_stack(columns)
+    # each eigenvector is the last right-singular vector of M - lambda*I
+    v = np.column_stack([np.linalg.svd(m - lam * np.eye(3, dtype=complex))[2][-1].conj() for lam in lambdas])
     return (v * np.exp(np.array(lambdas) * tau)) @ np.linalg.inv(v)
 
 
@@ -388,7 +427,7 @@ def fit_growth_rate(
     lo, hi = window
     if not hi > lo:
         raise ValueError(f"window must be increasing, got {window}")
-    taus = traj.taus()
+    taus = traj.tau
     if lo < taus[0] - 1e-12 or hi > taus[-1] + 1e-12:
         raise ValueError(
             f"window {window} not contained in trajectory span ({taus[0]:.6g}, {taus[-1]:.6g})"
@@ -411,22 +450,20 @@ def fit_growth_rate(
 def write_trajectory_csv(traj: Trajectory, path_or_file: PathOrFile) -> None:
     """Write a trajectory as CSV.
 
-    Columns: tau, re_A1, im_A1, abs_A1, re_B, im_B, abs_B, re_Bdot, im_Bdot.
-    Parameters, step size and seed amplitude go into ``#`` comment lines
-    ahead of the mandatory header row.
+    Columns: tau, re_A1, im_A1, abs_A1, re_B, im_B, abs_B, re_Bdot, im_Bdot,
+    passed to :func:`carl._io.csv_rows` as views of the trajectory's
+    ``tau`` and ``y`` columns. Parameters, step size and seed amplitude go
+    into ``#`` comment lines ahead of the mandatory header row.
     """
     with text_sink(path_or_file) as f:
-        p = traj.params
-        seed = traj.samples[0]
-        f.write(
-            f"# params: delta21={p.delta21!r} alpha={p.alpha!r} beta={p.beta!r} eta={p.eta}\n"
-        )
-        f.write(f"# dt: {traj.dt!r}\n")
-        f.write(f"# seed: abs_A1={abs(seed.A1)!r} abs_B={abs(seed.B)!r} abs_Bdot={abs(seed.Bdot)!r}\n")
+        p, seed = traj.params, traj.samples[0]
         flag = "none" if traj.linearity_flag is None else repr(traj.linearity_flag)
-        f.write(f"# linearity_flag_tau: {flag}\n")
-        f.write("tau,re_A1,im_A1,abs_A1,re_B,im_B,abs_B,re_Bdot,im_Bdot\n")
-        tau, a1, b, bdot = np.array([(s.tau, s.A1, s.B, s.Bdot) for s in traj.samples], dtype=complex).reshape(-1, 4).T
-        # hypot gives Python's abs of a complex bit for bit; numpy's abs differs by an ulp on some values
-        fields = [tau.real, a1.real, a1.imag, np.hypot(a1.real, a1.imag), b.real, b.imag, np.hypot(b.real, b.imag), bdot.real, bdot.imag]
-        f.writelines(csv_rows(fields, len(traj.samples)))
+        f.write(
+            f"# params: delta21={p.delta21!r} alpha={p.alpha!r} beta={p.beta!r} eta={p.eta}\n# dt: {traj.dt!r}\n"
+            f"# seed: abs_A1={abs(seed.A1)!r} abs_B={abs(seed.B)!r} abs_Bdot={abs(seed.Bdot)!r}\n"
+            f"# linearity_flag_tau: {flag}\ntau,re_A1,im_A1,abs_A1,re_B,im_B,abs_B,re_Bdot,im_Bdot\n"
+        )
+        a1, b, bdot = traj.y.T
+        # hypot gives Python's abs of a complex (up to the sign of a nan, which '%.17g' does not spell)
+        fields = [traj.tau, a1.real, a1.imag, np.hypot(a1.real, a1.imag), b.real, b.imag, np.hypot(b.real, b.imag), bdot.real, bdot.imag]
+        f.writelines(csv_rows(fields, len(traj.tau)))

@@ -17,7 +17,7 @@ live entirely in (delta21, alpha*beta) space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # CODATA 2018 values, frozen for reproducibility.
 HBAR = 1.054571817e-34  # reduced Planck constant (J s)
@@ -133,10 +133,6 @@ class ScaledParams:
         if alpha_beta < 0:
             raise ValueError(f"alpha_beta must be >= 0, got {alpha_beta}")
         return cls(delta21=delta21, alpha=alpha_beta, beta=1.0, eta=eta)
-
-    def with_eta(self, eta: int) -> "ScaledParams":
-        """Same control point in the other regime."""
-        return replace(self, eta=eta)
 
 
 def recoil_frequency(p: PhysicalParams) -> float:

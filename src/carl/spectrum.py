@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from carl.cubic import RealCubic, solve_cubics
+from carl.cubic import solve_cubics
 from carl.params import RAO, WAO, ScaledParams
 
 __all__ = [
@@ -70,12 +70,6 @@ class Spectrum:
 
     def __str__(self) -> str:
         return f"gamma = {self.gamma:.6g}, {self.case}"
-
-
-def _dispersion_cubic(delta21: float, alpha_beta: float, eta: int) -> RealCubic:
-    # Python floats, which saturate to +-inf without numpy's overflow warnings
-    d, ab = float(delta21), float(alpha_beta)
-    return RealCubic(1.0, -d, -float(eta), ab + eta * d)
 
 
 def spectrum_arrays(delta21, alpha_beta, eta):

@@ -3,13 +3,13 @@
 Everything here evaluates the spectrum module over grids and tabulates the
 results in a fixed, deterministic order so that identical inputs produce
 byte-identical CSV/JSON files. Gain curves and mass studies are columnar:
-one :func:`carl.spectrum.spectrum_arrays` call per regime fills whole
-columns of a :class:`SweepResult`.
+one :func:`carl.spectrum.spectrum_arrays` call over every regime and mass
+ratio fills the columns of their :class:`SweepResult` objects.
 
 The CSV writers (sweeps here, trajectories in :mod:`carl.dynamics`) build
 their rows with :func:`carl._io.csv_rows`, which spells every float exactly
 as ``'%.17g' % x`` does but from whole arrays, in blocks of rows. The sweep
-JSON fills one %-template per record from whole columns (``.tolist()``),
+JSON fills one %-template per record from blocks of rows (``.tolist()``),
 spells floats as the json module does (``float.__repr__``, and ``NaN``,
 ``Infinity`` or ``-Infinity`` when not finite) and passes only ``meta``
 through ``json.dumps``.
@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -97,14 +98,7 @@ class SweepSpec:
         return ScaledParams.from_product(*self.controls(axis_value), _REGIME_ETA[regime])
 
     def as_dict(self) -> Dict:
-        return {
-            "axis": self.axis,
-            "start": self.start,
-            "stop": self.stop,
-            "num_points": self.num_points,
-            "fixed": self.fixed,
-            "regimes": list(self.regimes),
-        }
+        return {**asdict(self), "regimes": list(self.regimes)}
 
 
 @dataclass(frozen=True)
@@ -150,24 +144,24 @@ class SweepResult:
 
 
 def _columns(grid: np.ndarray, regimes: Sequence[str], spectra, meta: Dict) -> SweepResult:
-    # one (lambdas, gamma, case, boundary) block per regime, stacked in order
-    lambdas, gamma, case, boundary = (np.concatenate(block) for block in zip(*spectra))
-    axis, regime = np.tile(grid, len(regimes)), np.repeat(regimes, len(grid))
-    return SweepResult(axis, regime, gamma, case, lambdas, boundary, meta)
+    # spectra: the (lambdas, gamma, case, boundary) rows of the regime blocks in order
+    lambdas, gamma, case, boundary = spectra
+    return SweepResult(np.tile(grid, len(regimes)), np.repeat(regimes, len(grid)), gamma, case, lambdas, boundary, meta)
 
 
 def gain_curve(spec: SweepSpec, *, timestamp: Optional[str] = None) -> SweepResult:
     """Growth rate (and full spectrum) along one control axis.
 
     Output ordering is fixed: RAO block before WAO block, axis ascending
-    within each block. Each regime is one :func:`spectrum_arrays` call.
+    within each block. The blocks are one :func:`spectrum_arrays` call.
     """
     grid = spec.grid()
     regimes = [r for r in REGIMES if r in spec.regimes]
     meta = {"spec": spec.as_dict(), "version": __version__}
     if timestamp is not None:
         meta["timestamp"] = timestamp
-    return _columns(grid, regimes, [spectrum_arrays(*spec.controls(grid), _REGIME_ETA[r]) for r in regimes], meta)
+    etas = np.repeat([_REGIME_ETA[r] for r in regimes], len(grid))
+    return _columns(grid, regimes, spectrum_arrays(*spec.controls(np.tile(grid, len(regimes))), etas), meta)
 
 
 def mass_study(
@@ -202,24 +196,26 @@ def mass_study(
     lo, hi = delta21_range
     grid = np.linspace(lo, hi, num_points)
     blocks = [r for r in REGIMES if r in regimes]
-    for ratio in mass_ratios:
-        ab_scaled = alpha_beta_base * ratio * ratio
-        spectra = []
-        for regime in blocks:
-            lambdas, gamma, case, boundary = spectrum_arrays(ratio * grid, ab_scaled, _REGIME_ETA[regime])
-            # lambdas / ratio, each part formed as Python's complex / float forms it; its
-            # zero terms set the signs of zero that the CSV writes as 0 or -0
-            scaled = np.empty_like(lambdas)
-            scaled.real = (lambdas.real + lambdas.imag * 0.0) / ratio
-            scaled.imag = (lambdas.imag - lambdas.real * 0.0) / ratio
-            spectra.append((scaled, gamma / ratio, case, boundary))
+    # one call over the regime blocks of every ratio, ratio and ab holding each row's values
+    rows = len(blocks) * num_points
+    fixed = [alpha_beta_base * r * r for r in mass_ratios]
+    ratio, ab = (np.repeat(np.array(v, dtype=float), rows) for v in (mass_ratios, fixed))
+    etas = np.tile(np.repeat([_REGIME_ETA[r] for r in blocks], num_points), len(mass_ratios))
+    lambdas, gamma, case, boundary = spectrum_arrays(ratio * np.tile(grid, len(ratio) // num_points), ab, etas)
+    # lambdas / ratio, each part formed as Python's complex / float forms it; its
+    # zero terms set the signs of zero that the CSV writes as 0 or -0
+    scaled = np.empty_like(lambdas)
+    scaled.real = (lambdas.real + lambdas.imag * 0.0) / ratio[:, None]
+    scaled.imag = (lambdas.imag - lambdas.real * 0.0) / ratio[:, None]
+    gamma = gamma / ratio
+    for k, ratio in enumerate(mass_ratios):
         meta = {
             "spec": {
                 "axis": "delta21",
                 "start": lo,
                 "stop": hi,
                 "num_points": num_points,
-                "fixed": ab_scaled,
+                "fixed": fixed[k],
                 "regimes": list(regimes),
             },
             "version": __version__,
@@ -229,7 +225,8 @@ def mass_study(
         }
         if timestamp is not None:
             meta["timestamp"] = timestamp
-        results.append(_columns(grid, blocks, spectra, meta))
+        at = slice(k * rows, (k + 1) * rows)
+        results.append(_columns(grid, blocks, (scaled[at], gamma[at], case[at], boundary[at]), meta))
     return results
 
 
@@ -304,10 +301,7 @@ class ValidationReport:
         return [e for e in self.entries if e.status in ("mismatch", "inconsistent")]
 
     def counts(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for e in self.entries:
-            out[e.status] = out.get(e.status, 0) + 1
-        return out
+        return dict(Counter(e.status for e in self.entries))
 
     def __str__(self) -> str:
         parts = ", ".join(f"{k}={v}" for k, v in sorted(self.counts().items()))
@@ -388,6 +382,7 @@ _TEXT_COLUMNS = ("regime", "case")
 # one JSON record as json.dumps(indent=2, sort_keys=True) lays it out inside "records"
 _JSON_KEYS = sorted(_CSV_COLUMNS.split(","))
 _JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _JSON_KEYS) + "\n    }"
+_JSON_ROWS = 1024  # records filled and written at a time
 
 
 def _named_columns(result: SweepResult) -> Tuple[object, Dict[str, np.ndarray]]:
@@ -427,20 +422,23 @@ def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
     The document is byte for byte ``json.dumps({"meta": ..., "records": [...]},
     indent=2, sort_keys=True)`` plus a newline, each record an object keyed by
     the CSV header. Only ``meta`` goes through ``json.dumps``; the records are
-    one template, its keys in sorted order, filled from whole columns. Floats
+    one template, its keys in sorted order, filled and written in blocks of
+    ``_JSON_ROWS`` rows, so the memory used does not grow with the rows. Floats
     are spelled as the json module spells them: ``float.__repr__``, and
     ``NaN``, ``Infinity`` or ``-Infinity`` when not finite; each distinct
     string is encoded once.
     """
     axis_name, columns = _named_columns(result)
-    values = {key: _json_values(column) for key, column in columns.items()}
-    values["axis_name"] = repeat(json.dumps(axis_name))
-    records = ",\n".join(map(_JSON_RECORD.__mod__, zip(*(values[key] for key in _JSON_KEYS))))
-    records = f"[\n{records}\n  ]" if records else "[]"
+    n = len(result.axis)
     # the meta object with its closing "\n}" cut off; "records" sorts after "meta"
     head = json.dumps({"meta": result.meta}, indent=2, sort_keys=True)[:-2]
     with text_sink(path_or_file) as f:
-        f.write(f'{head},\n  "records": {records}\n}}\n')
+        f.write(f'{head},\n  "records": [')
+        for start in range(0, n, _JSON_ROWS):
+            values = {key: _json_values(column[start : start + _JSON_ROWS]) for key, column in columns.items()}
+            values["axis_name"] = repeat(json.dumps(axis_name))
+            f.write((",\n" if start else "\n") + ",\n".join(map(_JSON_RECORD.__mod__, zip(*(values[key] for key in _JSON_KEYS)))))
+        f.write(("\n  ]" if n else "]") + "\n}\n")
 
 
 def write_polylines_csv(

@@ -3,6 +3,8 @@
 import io
 import math
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from carl import (
     write_trajectory_csv,
 )
 from carl.dynamics import _BLOCK, _rk4_step_matrix
-from carl.dynamics import _CHUNK, NonFiniteStateError
+from carl.dynamics import _CHUNK, NonFiniteStateError, TrajectorySamples
 
 SEED_STATE = TrajectoryState(tau=0.0, A1=1e-6 + 0j, B=0j, Bdot=0j)
 
@@ -449,3 +451,79 @@ class TestFloatRange:
         assert np.all(np.isfinite(last.as_vector()))
         with pytest.raises(NonFiniteStateError):
             evolve(self.P, SEED_STATE, tau_end=tau, dt=0.01, output_stride=1000)
+
+
+def csv_text(traj):
+    buf = io.StringIO()
+    write_trajectory_csv(traj, buf)
+    return buf.getvalue()
+
+
+class TestColumns:
+    P = ScaledParams.from_product(0.5, 1.0, WAO)
+
+    @pytest.mark.parametrize("stride", [1, 7, 100])
+    def test_rebuilt_from_states_reads_the_same(self, stride):
+        # from a 1e-12 seed, ending on a shortened step
+        traj = evolve(self.P, TrajectoryState(0.0, 1e-12 + 0j, 0j, 0j), tau_end=3.0005, dt=1e-3, output_stride=stride)
+        rebuilt = Trajectory(
+            samples=tuple(traj.samples), params=traj.params, dt=traj.dt, linearity_flag=traj.linearity_flag,
+            steps=traj.steps, max_step_error=traj.max_step_error,
+        )
+        assert isinstance(rebuilt.samples, TrajectorySamples)
+        assert traj.taus().tobytes() == rebuilt.taus().tobytes()
+        assert traj.probe_magnitudes().tobytes() == rebuilt.probe_magnitudes().tobytes()
+        assert csv_text(traj) == csv_text(rebuilt)
+        assert traj == rebuilt and hash(traj) == hash(rebuilt)
+        assert traj != Trajectory(samples=tuple(traj.samples)[:-1], params=traj.params, dt=traj.dt)
+
+    def test_columns_shapes_and_order(self):
+        traj = evolve(self.P, SEED_STATE, tau_end=1.0005, dt=1e-3, output_stride=250)
+        assert traj.tau.shape == (6,) and traj.y.shape == (6, 3) and traj.y.dtype == complex
+        assert traj.tau.tolist() == [s.tau for s in traj.samples] == [0.0, 0.25, 0.5, 0.75, 1.0, 1.0005]
+        assert traj.y.tolist() == [[s.A1, s.B, s.Bdot] for s in traj.samples]
+        for column in (traj.tau, traj.y):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    def test_span_below_the_step_gives_the_initial_state_twice(self):
+        init = TrajectoryState(0.25, 1e-3 + 2e-3j, 0.5 + 0j, -0.5j)
+        traj = evolve(self.P, init, tau_end=0.25 + 1e-13, dt=1e-3)
+        assert traj.steps == 0 and list(traj.samples) == [init, init]
+
+    def test_samples_view(self):
+        states = tuple(TrajectoryState(0.5 * k, complex(k, -k), complex(0.0, k), complex(-k, 1.0)) for k in range(5))
+        traj = Trajectory(samples=states, params=self.P, dt=0.5)
+        view = traj.samples
+        assert len(view) == 5
+        assert view[-1] == states[-1] and view[0] == states[0] and view[2] == states[2]
+        assert isinstance(view[-1].tau, float) and isinstance(view[-1].A1, complex)
+        assert view[1:3] == states[1:3] and view[::-2] == states[::-2] and view[4:1] == ()
+        assert list(view) == list(states) and list(reversed(view)) == list(states[::-1])
+        assert states[3] in view and view.index(states[3]) == 3
+        with pytest.raises(IndexError):
+            view[5]
+
+    def test_probe_magnitudes_are_python_abs_bit_for_bit(self):
+        values = [
+            complex(5e-324, 0.0), complex(-5e-324, 5e-324), complex(3e-310, -2e-310), complex(0.0, -0.0),
+            complex(-0.0, 0.0), complex(math.inf, 1.0), complex(1.0, -math.inf), complex(math.inf, math.nan),
+            complex(math.nan, -math.inf), complex(math.nan, 1.0), complex(-math.nan, 1.0), complex(1.0, math.nan),
+            complex(1e308, 1e308), complex(-1e300, 3e300), complex(3.0, 4.0), complex(0.1, 0.2),
+        ]
+        traj = Trajectory(samples=tuple(TrajectoryState(float(k), v, 0j, 0j) for k, v in enumerate(values)), params=self.P, dt=1.0)
+        expected = b"".join(struct.pack("d", abs(s.A1)) for s in traj.samples)
+        assert traj.probe_magnitudes().tobytes() == expected
+
+    def test_evolve_memory_stays_bounded(self):
+        # 10**6 steps at stride 2048: the columns of 490 samples, and one chunk's temporaries
+        p, init = ScaledParams.from_product(2.5, 0.4, WAO), SEED_STATE
+        evolve(p, init, tau_end=10.0, dt=5e-3)  # first call: the numpy loops load
+        tracemalloc.start()
+        try:
+            traj = evolve(p, init, tau_end=5000.0, dt=5e-3, output_stride=2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.steps == 10**6 and len(traj.samples) == 490
+        assert peak <= 1e6

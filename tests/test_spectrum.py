@@ -129,12 +129,11 @@ class TestEigenSpectrum:
 
     def test_gamma_stable_under_tolerance_refinement(self):
         # classification tolerance does not feed the rate: same gamma at 10x stricter tol
-        from carl.cubic import classify
-        from carl.spectrum import _dispersion_cubic
+        from carl.cubic import RealCubic, classify
 
         for d, ab, eta in [(0.0, 1.0, 1), (2.0, 5.0, 0), (1.5, 0.3, 1)]:
             sp = eigen_spectrum(from_product(d, ab, eta))
-            cubic = _dispersion_cubic(d, ab, eta)
+            cubic = RealCubic(1.0, -d, -float(eta), ab + eta * d)
             assert classify(cubic, tol=1e-13).nature is classify(cubic, tol=1e-12).nature
             assert eigen_spectrum(from_product(d, ab, eta)).gamma == sp.gamma
 

@@ -2,9 +2,11 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from carl import (
     write_sweep_csv,
     write_sweep_json,
 )
+
+from carl.spectrum import spectrum_arrays
 
 WAO_ZERO_DETUNING_THRESHOLD = 0.38490017945975051
 
@@ -156,6 +160,60 @@ class TestMassStudy:
     def test_rejects_unknown_regimes(self):
         with pytest.raises(ValueError, match="regimes"):
             mass_study(1.0, [1.0], regimes=("XAO",))
+
+
+def same_bytes(got, want):
+    return all(np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want, strict=True))
+
+
+class TestOneSpectrumCall:
+    """The one stacked spectrum_arrays call of a command gives, byte for byte, its per-regime calls.
+
+    The grids mix the solver's branches: order-1 rows on both sides of the
+    threshold, rows whose dominant root is deflated, rows rescaled by a power
+    of two (huge and tiny coefficients) and boundary rows (RAO at ab = 0).
+    """
+
+    SPECS = [
+        SweepSpec(axis="delta21", start=-3.0, stop=6.0, num_points=301, fixed=1.0),
+        SweepSpec(axis="delta21", start=-1e12, stop=1e12, num_points=301, fixed=1.0),
+        SweepSpec(axis="alpha_beta", start=0.0, stop=1e60, num_points=301, fixed=-2.0),
+        SweepSpec(axis="alpha_beta", start=0.0, stop=1e-45, num_points=301, fixed=1e-50, regimes=("RAO",)),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["order_one", "deflated", "huge", "tiny"])
+    def test_gain_curve_equals_per_regime_calls(self, spec):
+        result = gain_curve(spec)
+        grid, n = spec.grid(), spec.num_points
+        for k, regime in enumerate(spec.regimes):
+            block = slice(k * n, (k + 1) * n)
+            got = (result.lambdas[block], result.gamma[block], result.case[block], result.boundary[block])
+            assert same_bytes(got, spectrum_arrays(*spec.controls(grid), {"RAO": RAO, "WAO": WAO}[regime]))
+
+    def test_grids_cover_the_branches(self):
+        results = [gain_curve(spec) for spec in self.SPECS]
+        case = np.concatenate([r.case for r in results])
+        assert {"I", "II"} <= set(case.tolist()) and any(r.boundary.any() for r in results)
+
+    @pytest.mark.parametrize(
+        "base, ratios, d_range",
+        [(0.8, [1.0, 7.5, 1000.0], (-3.0, 6.0)), (1e-40, [1, 31.6, 1000], (-1e10, 1e10)), (3.0, [2.0], (-2.0, 6.0))],
+        ids=["order_one", "mixed_scales", "one_ratio"],
+    )
+    @pytest.mark.parametrize("regimes", [("RAO", "WAO"), ("WAO",)])
+    def test_mass_study_equals_per_ratio_and_regime_calls(self, base, ratios, d_range, regimes):
+        results = mass_study(base, ratios, delta21_range=d_range, num_points=201, regimes=regimes)
+        grid = np.linspace(*d_range, 201)
+        for ratio, result in zip(ratios, results, strict=True):
+            for k, regime in enumerate(regimes):
+                lam, gamma, case, boundary = spectrum_arrays(ratio * grid, base * ratio * ratio, {"RAO": RAO, "WAO": WAO}[regime])
+                # lambdas / ratio, each part as Python's complex / float forms it
+                scaled = np.empty_like(lam)
+                scaled.real = (lam.real + lam.imag * 0.0) / ratio
+                scaled.imag = (lam.imag - lam.real * 0.0) / ratio
+                block = slice(k * 201, (k + 1) * 201)
+                got = (result.lambdas[block], result.gamma[block], result.case[block], result.boundary[block])
+                assert same_bytes(got, (scaled, gamma / ratio, case, boundary))
 
 
 class TestThresholdMap:
@@ -358,6 +416,37 @@ class TestSerialization:
             buf = io.StringIO()
             write_sweep_json(result, buf)
             assert buf.getvalue() == self.reference_json(result)
+
+    @pytest.mark.parametrize("points, regimes", [(1023, ("RAO",)), (1024, ("WAO",)), (1025, ("RAO",)), (1500, ("RAO", "WAO"))])
+    def test_json_bytes_across_blocks(self, points, regimes):
+        result = gain_curve(SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=points, fixed=1.3, regimes=regimes))
+        buf = io.StringIO()
+        write_sweep_json(result, buf)
+        assert buf.getvalue() == self.reference_json(result)
+
+    def test_json_bytes_non_finite_in_a_later_block(self):
+        result = gain_curve(SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=1300, fixed=1.3))
+        result.gamma[2100] = math.nan
+        result.lambdas[2100] = [complex(math.nan, 1.0), complex(math.inf, -math.inf), 0j]
+        result.axis[2500] = -math.inf
+        buf = io.StringIO()
+        write_sweep_json(result, buf)
+        assert buf.getvalue() == self.reference_json(result)
+        assert "NaN" in buf.getvalue() and "-Infinity" in buf.getvalue()
+
+    def test_json_memory_stays_bounded(self, tmp_path):
+        n = 50_000  # 10**5 rows, both regimes
+        result = gain_curve(SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=n, fixed=1.0))
+        path = str(tmp_path / "big.json")
+        write_sweep_json(gain_curve(SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=11, fixed=1.0)), path)  # the numpy loops load
+        tracemalloc.start()
+        try:
+            write_sweep_json(result, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the records are written in blocks of rows; the file is about 33 MB
+        assert peak < 4e6 and os.path.getsize(path) > 3e7
 
     @pytest.mark.parametrize("eta", [RAO, WAO])
     def test_polylines_bytes_match_per_vertex_format(self, eta):

@@ -60,7 +60,6 @@ from carl.dynamics import (
     write_trajectory_csv,
 )
 from carl.sweep import (
-    SweepRecord,
     SweepResult,
     SweepSpec,
     ValidationReport,
@@ -110,7 +109,6 @@ __all__ = [
     "fit_growth_rate",
     "write_trajectory_csv",
     "SweepSpec",
-    "SweepRecord",
     "SweepResult",
     "ValidationReport",
     "gain_curve",

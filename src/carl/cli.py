@@ -9,14 +9,17 @@ Every subcommand can equivalently be driven by a JSON config file via
                   "omega0": ..., "omega1": ..., "omega2": ..., "a2_0": ...},
      "options":  {... mode-specific keys, mirroring the flags ...}}
 
-The mode table :data:`MODES` is the one place an option is declared: one row
-per option gives its flag(s), config key, type, default (or that it is
-required), help and choices. The table generates each subcommand's flags,
-the option keys a config may use, the defaults a config run gets (the same
-as the flag defaults) and the config a flag run is normalized to, so a
-config echoing a flag run produces byte-identical output. Exit codes: 0
-success, 1 configuration error, 2 numerical failure (integrator step
-rejection, or a state past the float range).
+The option tables declare every flag and config key: :data:`POINT` the
+flags of the control point, :data:`SCALED` and :data:`PHYSICAL` the keys of
+the two parameter blocks, and :data:`MODES` each mode's options. One row
+gives its flag(s) (a block key has none), config key, type, default (or
+that it is required), help and choices, and one resolver, :func:`_resolve`,
+checks every config mapping against its rows. The tables generate each
+subcommand's flags, the keys a config may use, the defaults a config run
+gets (the same as the flag defaults) and the config a flag run is
+normalized to, so a config echoing a flag run produces byte-identical
+output. Exit codes: 0 success, 1 configuration error, 2 numerical failure
+(integrator step rejection, or a state past the float range).
 """
 
 from __future__ import annotations
@@ -44,8 +47,6 @@ from carl.sweep import (
     write_sweep_json,
 )
 
-_SCALED_KEYS = ("delta21", "alpha", "beta", "eta")
-_PHYSICAL_KEYS = ("mu", "V", "m", "N", "k0", "omega0", "omega1", "omega2", "a2_0")
 DEFAULT_ETA = 0  # regime of scaled flags without --eta, and of the sweep modes' base point
 
 
@@ -57,7 +58,7 @@ REQUIRED = object()  # the default of an option that must be given
 
 
 class Option(NamedTuple):
-    """One option of a mode: its flag(s), config key, type, default and help.
+    """One option: its flag(s), config key, type, default and help.
 
     ``type`` parses the flag and converts the config value alike; ``None``
     takes the value as given, for the handler to parse.
@@ -67,22 +68,22 @@ class Option(NamedTuple):
     key: str
     type: Optional[Callable]
     default: Any
-    help: str
+    help: str = ""  # a config key without a flag has none
     choices: Optional[Tuple] = None
+    metavar: Optional[str] = None
 
 
 class Mode(NamedTuple):
     """One mode: its help, its handler ``run(params, options)`` and its options.
 
-    ``block`` says whether it takes the scaled/physical parameter block (its
-    handler then gets the resolved :class:`ScaledParams`, else None) and
-    ``eta`` whether it also takes the ``--eta`` option.
+    ``block`` says whether it takes the :data:`POINT` flags, or the
+    scaled/physical parameter block of a config; its handler then gets the
+    resolved :class:`ScaledParams`, else None.
     """
 
     help: str
     run: Callable[[Optional[ScaledParams], Dict], int]
     block: bool
-    eta: bool
     options: Tuple[Option, ...]
 
 
@@ -94,6 +95,20 @@ def _integer(value) -> int:
 
 
 ETA = Option(("--eta",), "eta", _integer, None, "regime flag: 0 = RAO (classical), 1 = WAO (quantum)", (0, 1))
+
+# the keys of the config blocks, in the order of the fields of ScaledParams and PhysicalParams
+SCALED = (*(Option((), key, float, REQUIRED) for key in ("delta21", "alpha", "beta")), ETA._replace(flags=(), default=REQUIRED))
+PHYSICAL = tuple(
+    Option((), key, _integer if key == "N" else float, REQUIRED)
+    for key in ("mu", "V", "m", "N", "k0", "omega0", "omega1", "omega2", "a2_0")
+)
+POINT = (
+    Option(("--delta21",), "delta21", float, None, "pump-probe detuning (scaled units, recoil quanta)"),
+    Option(("--alpha-beta",), "alpha_beta", float, None, "gain control product alpha*beta (scaled, dimensionless)"),
+    Option(("--alpha",), "alpha", float, None, "pump-intensity control alpha (scaled; use with --beta)"),
+    Option(("--beta",), "beta", float, None, "density control beta (scaled; use with --alpha)"),
+    Option(("--physical",), "physical", str, None, f"JSON file with SI-unit parameters (keys {','.join(o.key for o in PHYSICAL)}) instead of scaled flags", metavar="FILE"),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +124,31 @@ def _check_keys(mapping, allowed: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _resolve(rows: Sequence[Option], given, where: str) -> Dict:
+    """The values of ``rows`` from the mapping ``given``, each converted by its type.
+
+    A key left out or null gets its row's default. An unknown key, a missing
+    required key, a failed conversion or a value outside the choices is a
+    :class:`ConfigError` naming ``where``, the key and the value.
+    """
+    _check_keys(given, [o.key for o in rows], where)
+    missing = [o.key for o in rows if o.default is REQUIRED and given.get(o.key) is None]
+    if missing:
+        raise ConfigError(f"missing key(s) in {where}: {', '.join(sorted(missing))}")
+    values = {o.key: o.default for o in rows}
+    for o in rows:
+        raw = given.get(o.key)
+        if raw is None:
+            continue
+        try:
+            values[o.key] = raw if o.type is None else o.type(raw)
+            if o.choices and values[o.key] not in o.choices:
+                raise ValueError(f"must be one of {', '.join(map(str, o.choices))}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"'{o.key}' = {raw!r} in {where}: {exc}") from exc
+    return values
+
+
 def _scaled_from_config(config: Dict, eta: Optional[int]) -> ScaledParams:
     """Resolve the scaled/physical parameter block (exactly one must be present).
 
@@ -117,35 +157,10 @@ def _scaled_from_config(config: Dict, eta: Optional[int]) -> ScaledParams:
     """
     if ("scaled" in config) == ("physical" in config):
         raise ConfigError("exactly one of the 'scaled' and 'physical' parameter blocks must be given")
-    name, keys = ("scaled", _SCALED_KEYS) if "scaled" in config else ("physical", _PHYSICAL_KEYS)
-    block = config[name]
-    _check_keys(block, keys, f"'{name}' block")
-    missing = sorted(set(keys) - set(block))
-    if missing:
-        raise ConfigError(f"'{name}' block is missing key(s): {', '.join(missing)}")
-    if name == "scaled":
-        try:
-            regime = _integer(block["eta"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'scaled' block: eta = {block['eta']!r}: {exc}") from exc
-        params = ScaledParams(
-            delta21=float(block["delta21"]),
-            alpha=float(block["alpha"]),
-            beta=float(block["beta"]),
-            eta=regime,
-        )
+    if "scaled" in config:
+        params = ScaledParams(**_resolve(SCALED, config["scaled"], "'scaled' block"))
         return params if eta is None else replace(params, eta=eta)
-    phys = PhysicalParams(
-        dipole_moment=float(block["mu"]),
-        quantization_volume=float(block["V"]),
-        atom_mass=float(block["m"]),
-        atom_number=int(block["N"]),
-        wavenumber_k0=float(block["k0"]),
-        omega0=float(block["omega0"]),
-        omega1=float(block["omega1"]),
-        omega2=float(block["omega2"]),
-        pump_amplitude=float(block["a2_0"]),
-    )
+    phys = PhysicalParams(*_resolve(PHYSICAL, config["physical"], "'physical' block").values())
     if eta is None:
         raise ConfigError("the 'physical' block carries no regime; set the 'eta' option (0=RAO, 1=WAO)")
     return to_scaled(phys, eta)
@@ -302,11 +317,11 @@ _FORMAT = ("csv", "json")
 
 MODES: Dict[str, Mode] = {
     "spectrum": Mode(
-        "eigenvalues, stability case and growth rate at one control point", _run_spectrum, True, True,
-        (Option(("-o", "--output"), "output", str, None, "optional JSON output path"),),
+        "eigenvalues, stability case and growth rate at one control point", _run_spectrum, True,
+        (ETA, Option(("-o", "--output"), "output", str, None, "optional JSON output path")),
     ),
     "curve": Mode(
-        "growth-rate curve along one control axis (CSV/JSON)", _run_curve, True, False,
+        "growth-rate curve along one control axis (CSV/JSON)", _run_curve, True,
         (
             Option(("--axis",), "axis", str, REQUIRED, "swept control (scaled units)", _AXIS),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled units)"),
@@ -318,8 +333,9 @@ MODES: Dict[str, Mode] = {
         ),
     ),
     "threshold": Mode(
-        "instability boundary polyline in the (delta21, alpha_beta) plane", _run_threshold, True, True,
+        "instability boundary polyline in the (delta21, alpha_beta) plane", _run_threshold, True,
         (
+            ETA,
             Option(("--delta21-from",), "delta21_from", float, REQUIRED, "detuning window start (scaled)"),
             Option(("--delta21-to",), "delta21_to", float, REQUIRED, "detuning window stop (scaled)"),
             Option(("--alpha-beta-from",), "alpha_beta_from", float, REQUIRED, "alpha*beta window start (scaled)"),
@@ -329,8 +345,9 @@ MODES: Dict[str, Mode] = {
         ),
     ),
     "evolve": Mode(
-        "integrate the coupled-mode equations, write trajectory CSV", _run_evolve, True, True,
+        "integrate the coupled-mode equations, write trajectory CSV", _run_evolve, True,
         (
+            ETA,
             Option(("--tau-end",), "tau_end", float, REQUIRED, "final scaled time tau"),
             Option(("--dt",), "dt", float, 1e-3, "integrator step in scaled time (default 1e-3)"),
             Option(("--stride",), "stride", _integer, 100, "output every N steps (default 100)"),
@@ -341,7 +358,7 @@ MODES: Dict[str, Mode] = {
         ),
     ),
     "mass-study": Mode(
-        "RAO/WAO convergence with atomic mass, in reference-mass units", _run_mass_study, False, False,
+        "RAO/WAO convergence with atomic mass, in reference-mass units", _run_mass_study, False,
         (
             Option(("--alpha-beta-base",), "alpha_beta_base", float, REQUIRED, "alpha*beta at mass ratio 1 (scaled)"),
             Option(("--ratios",), "ratios", None, REQUIRED, "comma-separated mass ratios, e.g. 1,10,100"),
@@ -354,7 +371,7 @@ MODES: Dict[str, Mode] = {
         ),
     ),
     "validate": Mode(
-        "cross-check sweep growth rates against time-domain fits", _run_validate, True, False,
+        "cross-check sweep growth rates against time-domain fits", _run_validate, True,
         (
             Option(("--axis",), "axis", str, REQUIRED, "swept control (scaled units)", _AXIS),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled)"),
@@ -372,37 +389,23 @@ MODES: Dict[str, Mode] = {
 def execute(config: Dict) -> int:
     """Validate and run one config document; shared by flags and ``run --config``.
 
-    Options left out or null get their table defaults. A ``TypeError`` or
-    ``ValueError`` from converting an option or running the mode becomes a
-    :class:`ConfigError`, which names the option and value of a conversion.
+    Options and block keys are checked and converted by :func:`_resolve`;
+    options left out or null get their table defaults. A ``TypeError`` or
+    ``ValueError`` from building the parameters or running the mode becomes
+    a :class:`ConfigError`. Modes without the eta option take their base
+    point in the regime ``DEFAULT_ETA``.
     """
     _check_keys(config, ("mode", "scaled", "physical", "options"), "config")
     name = config.get("mode")
     if not isinstance(name, str) or name not in MODES:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {name!r}")
     mode = MODES[name]
-    rows = mode.options + ((ETA,) if mode.eta else ())
-    given = config.get("options", {})
-    _check_keys(given, [o.key for o in rows], f"options for mode '{name}'")
-    options = {o.key: None if o.default is REQUIRED else o.default for o in rows}
-    options.update((key, value) for key, value in given.items() if value is not None)
-    missing = sorted(o.key for o in rows if o.default is REQUIRED and options[o.key] is None)
-    if missing:
-        raise ConfigError(f"mode '{name}' requires option(s): {', '.join(missing)}")
-    key = None
+    options = _resolve(mode.options, config.get("options", {}), f"options for mode '{name}'")
     try:
-        for o in rows:
-            key, raw = o.key, options[o.key]
-            if raw is not None and o.type is not None:
-                options[key] = o.type(raw)
-            if raw is not None and o.choices and options[key] not in o.choices:
-                raise ValueError(f"must be one of {', '.join(map(str, o.choices))}")
-        key = None
-        params = _scaled_from_config(config, options["eta"] if mode.eta else DEFAULT_ETA) if mode.block else None
+        params = _scaled_from_config(config, options.get("eta", DEFAULT_ETA)) if mode.block else None
         return mode.run(params, options)
     except (TypeError, ValueError) as exc:
-        where = "" if key is None else f"option '{key}' = {raw!r}: "
-        raise ConfigError(f"{where}{exc}") from exc
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +521,8 @@ def _add_option(sub: argparse.ArgumentParser, o: Option) -> None:
     required = o.default is REQUIRED
     sub.add_argument(
         *o.flags, dest=o.key, type=o.type, choices=o.choices, required=required,
-        default=None if required else o.default, help=o.help,
+        default=None if required else o.default, help=o.help, metavar=o.metavar,
     )
-
-
-def _add_scaled_flags(sub: argparse.ArgumentParser, *, with_eta: bool) -> None:
-    sub.add_argument("--delta21", type=float, default=None, help="pump-probe detuning (scaled units, recoil quanta)")
-    sub.add_argument("--alpha-beta", type=float, default=None, dest="alpha_beta", help="gain control product alpha*beta (scaled, dimensionless)")
-    sub.add_argument("--alpha", type=float, default=None, help="pump-intensity control alpha (scaled; use with --beta)")
-    sub.add_argument("--beta", type=float, default=None, help="density control beta (scaled; use with --alpha)")
-    if with_eta:
-        _add_option(sub, ETA)
-    sub.add_argument("--physical", metavar="FILE", default=None, help="JSON file with SI-unit parameters (keys mu,V,m,N,k0,omega0,omega1,omega2,a2_0) instead of scaled flags")
 
 
 def _load_json(path: str, what: str):
@@ -547,7 +540,6 @@ def _block_from_args(args: argparse.Namespace) -> Dict:
         if any(getattr(args, name) is not None for name in ("delta21", "alpha_beta", "alpha", "beta")):
             raise ConfigError("give either --physical or scaled flags, not both")
         return {"physical": block}
-    eta = DEFAULT_ETA if getattr(args, "eta", None) is None else args.eta
     delta21 = args.delta21 if args.delta21 is not None else 0.0
     if args.alpha is not None or args.beta is not None:
         if args.alpha is None or args.beta is None:
@@ -558,7 +550,7 @@ def _block_from_args(args: argparse.Namespace) -> Dict:
     else:
         product = args.alpha_beta if args.alpha_beta is not None else 0.0
         alpha, beta = product, 1.0
-    return {"scaled": {"delta21": delta21, "alpha": alpha, "beta": beta, "eta": eta}}
+    return {"scaled": {"delta21": delta21, "alpha": alpha, "beta": beta, "eta": DEFAULT_ETA}}
 
 
 # the subcommands and their help, in the order the top-level help lists them
@@ -579,9 +571,7 @@ def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
         parser.add_argument("--config", required=True, help="path to the JSON config document")
     else:
         mode = MODES[command]
-        if mode.block:
-            _add_scaled_flags(parser, with_eta=mode.eta)
-        for o in mode.options:
+        for o in (POINT if mode.block else ()) + mode.options:
             _add_option(parser, o)
 
 
@@ -626,9 +616,9 @@ def _config_from_args(args: argparse.Namespace) -> Dict:
     config = {"mode": args.command, "options": options}
     if mode.block:
         config.update(_block_from_args(args))
-        # the SI block has no eta key, so there the regime travels as an option
-        if mode.eta and "physical" in config:
-            options["eta"] = DEFAULT_ETA if args.eta is None else args.eta
+        # the regime travels as an option, as the SI block has no eta key
+        if ETA in mode.options:
+            options.setdefault("eta", DEFAULT_ETA)
     return config
 
 

@@ -327,7 +327,7 @@ def evolve(
     span = tau_end - init.tau
     n_full = int(math.floor(span / dt + 1e-9))
     remainder = span - n_full * dt
-    if remainder < 1e-9 * dt:
+    if remainder < 1e-9 * dt and n_full:  # rounding, unless it is the whole span
         remainder = 0.0
 
     m = system_matrix(s)

@@ -2,9 +2,9 @@
 
 Everything here evaluates the spectrum module over grids and tabulates the
 results in a fixed, deterministic order so that identical inputs produce
-byte-identical CSV/JSON files. Gain curves and mass studies are columnar:
-one :func:`carl.spectrum.spectrum_arrays` call over every regime and mass
-ratio fills the columns of their :class:`SweepResult` objects.
+byte-identical CSV/JSON files. Sweep results are columns only: one
+:func:`carl.spectrum.spectrum_arrays` call over every regime and mass ratio
+fills the columns of their :class:`SweepResult` objects.
 
 The CSV writers (sweeps here, trajectories in :mod:`carl.dynamics`) build
 their rows with :func:`carl._io.csv_rows`, which spells every float exactly
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -40,7 +40,6 @@ from carl.spectrum import _alpha_beta_roots, critical_delta21, spectrum_arrays
 
 __all__ = [
     "SweepSpec",
-    "SweepRecord",
     "SweepResult",
     "ValidationEntry",
     "ValidationReport",
@@ -93,24 +92,8 @@ class SweepSpec:
         """``(delta21, alpha_beta)`` at one axis value or an array of them."""
         return (axis_values, self.fixed) if self.axis == "delta21" else (self.fixed, axis_values)
 
-    def point(self, axis_value: float, regime: str) -> ScaledParams:
-        """Control-parameter set at one grid point of the sweep."""
-        return ScaledParams.from_product(*self.controls(axis_value), _REGIME_ETA[regime])
-
     def as_dict(self) -> Dict:
         return {**asdict(self), "regimes": list(self.regimes)}
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """Spectrum summary at one grid point."""
-
-    axis_value: float
-    regime: str
-    gamma: float
-    case: str  # "I" (stable) or "II" (unstable)
-    lambdas: Tuple[complex, complex, complex]
-    boundary: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +102,7 @@ class SweepResult:
 
     Rows come in regime blocks (RAO before WAO), the axis ascending within
     each block. ``axis``, ``regime``, ``gamma``, ``case`` ("I" or "II") and
-    ``boundary`` have one entry per row and ``lambdas`` is (rows, 3);
-    :attr:`records` gives the same rows as :class:`SweepRecord` objects.
+    ``boundary`` have one entry per row and ``lambdas`` is (rows, 3).
     """
 
     axis: np.ndarray
@@ -130,17 +112,6 @@ class SweepResult:
     lambdas: np.ndarray
     boundary: np.ndarray
     meta: Dict = field(default_factory=dict)
-
-    @property
-    def records(self) -> Tuple[SweepRecord, ...]:
-        columns = (self.axis, self.regime, self.gamma, self.case, self.lambdas, self.boundary)
-        return tuple(SweepRecord(a, r, g, c, tuple(l), b) for a, r, g, c, l, b in zip(*(v.tolist() for v in columns)))
-
-    def filtered(self, regime: str) -> List[SweepRecord]:
-        return [r for r in self.records if r.regime == regime]
-
-    def gamma_array(self, regime: str) -> np.ndarray:
-        return self.gamma[self.regime == regime]
 
 
 def _columns(grid: np.ndarray, regimes: Sequence[str], spectra, meta: Dict) -> SweepResult:
@@ -185,16 +156,12 @@ def mass_study(
     is exact: the converted curve at ratio s equals the plain gain curve at
     ``alpha_beta_base/s`` (the self-consistency check used in the tests).
     """
-    if alpha_beta_base < 0:
-        raise ValueError(f"alpha_beta_base must be >= 0, got {alpha_beta_base}")
     if not mass_ratios or any(not (math.isfinite(s) and s > 0) for s in mass_ratios):
         raise ValueError(f"mass_ratios must be positive and finite, got {mass_ratios!r}")
-    if not regimes or any(r not in REGIMES for r in regimes):
-        raise ValueError(f"regimes must be a nonempty subset of {REGIMES}, got {regimes!r}")
+    spec = SweepSpec("delta21", *delta21_range, num_points, alpha_beta_base, regimes)
 
     results: List[SweepResult] = []
-    lo, hi = delta21_range
-    grid = np.linspace(lo, hi, num_points)
+    grid = spec.grid()
     blocks = [r for r in REGIMES if r in regimes]
     # one call over the regime blocks of every ratio, ratio and ab holding each row's values
     rows = len(blocks) * num_points
@@ -210,14 +177,7 @@ def mass_study(
     gamma = gamma / ratio
     for k, ratio in enumerate(mass_ratios):
         meta = {
-            "spec": {
-                "axis": "delta21",
-                "start": lo,
-                "stop": hi,
-                "num_points": num_points,
-                "fixed": fixed[k],
-                "regimes": list(regimes),
-            },
+            "spec": replace(spec, fixed=fixed[k]).as_dict(),
             "version": __version__,
             "mass_ratio": ratio,
             "alpha_beta_base": alpha_beta_base,
@@ -336,21 +296,19 @@ def validate_sweep(
     regimes = [r for r in REGIMES if r in spec.regimes]
 
     draws = [(float(grid[int(rng.integers(0, len(grid)))]), regimes[int(rng.integers(0, len(regimes)))]) for _ in range(n_samples)]
-    points = [spec.point(axis_value, regime) for axis_value, regime in draws]
     # the spectra of all samples in one call
-    spectra = spectrum_arrays([p.delta21 for p in points], [p.alpha_beta for p in points], [p.eta for p in points])
+    spectra = spectrum_arrays(*spec.controls(np.array([a for a, _ in draws])), [_REGIME_ETA[r] for _, r in draws])
 
     entries: List[ValidationEntry] = []
-    for (axis_value, regime), params, lambdas, gamma, _, boundary in zip(draws, points, *(v.tolist() for v in spectra)):
-        if boundary:
-            entries.append(ValidationEntry(axis_value, regime, gamma, None, "skipped_boundary", None))
+    for (axis_value, regime), lambdas, gamma, _, boundary in zip(draws, *(v.tolist() for v in spectra)):
+        if boundary or 0.0 < gamma < gamma_floor:
+            status = "skipped_boundary" if boundary else "skipped_slow"
+            entries.append(ValidationEntry(axis_value, regime, gamma, None, status, None))
             continue
 
+        params = ScaledParams.from_product(*spec.controls(axis_value), _REGIME_ETA[regime])
         init = TrajectoryState(tau=0.0, A1=complex(probe_seed), B=0.0, Bdot=0.0)
         if gamma > 0.0:
-            if gamma < gamma_floor:
-                entries.append(ValidationEntry(axis_value, regime, gamma, None, "skipped_slow", None))
-                continue
             window = (30.0 / gamma, 60.0 / gamma)
             dt = min(5e-3, 0.02 / max(abs(lam) for lam in lambdas))
             traj = evolve(params, init, tau_end=window[1], dt=dt, output_stride=50)

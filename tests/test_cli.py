@@ -2,10 +2,11 @@
 
 import json
 import math
+import re
 
 import pytest
 
-from carl.cli import ConfigError, _inspect_result_csv, build_parser, main
+from carl.cli import MODES, POINT, ConfigError, _inspect_result_csv, build_parser, main
 
 GAMMA_WAO_AB1 = 0.56227951206230124
 
@@ -285,6 +286,14 @@ class TestConfigRoundTrip:
 
 SCALED_WAO = {"delta21": 0.0, "alpha": 1.0, "beta": 1.0, "eta": 1}
 VALIDATE_ARGV = "validate --axis delta21 --from -1 --to 3 --points 41 --alpha-beta 1 --samples 4"
+MASS_STUDY_ARGV = "mass-study --alpha-beta-base 1 --ratios 1 --from {} --to {} --points {} -o rev"
+K0 = 2.0 * math.pi / 780e-9
+OMEGA0 = 2.0 * math.pi * 384.23e12
+OMEGA2 = OMEGA0 - 2.0 * math.pi * 30e9
+PHYSICAL_RB = {
+    "mu": 2.5e-29, "V": 1e-6, "m": 1.44316e-25, "N": 10**6, "k0": K0,
+    "omega0": OMEGA0, "omega1": OMEGA2, "omega2": OMEGA2, "a2_0": 1e4,
+}
 
 
 class TestBadOptionValues:
@@ -310,21 +319,32 @@ class TestBadOptionValues:
              ["points", "5.7"]),
             ({"mode": "spectrum", "scaled": SCALED_WAO, "options": {"eta": 1.5}}, ["eta", "1.5"]),
             ({"mode": "spectrum", "scaled": dict(SCALED_WAO, eta=1.5), "options": {}}, ["eta", "1.5"]),
+            ({"mode": "spectrum", "scaled": dict(SCALED_WAO, delta21="x"), "options": {}}, ["delta21", "'x'"]),
+            ({"mode": "spectrum", "physical": dict(PHYSICAL_RB, N=1.5), "options": {"eta": 1}}, ["N", "1.5"]),
+            ({"mode": "spectrum", "physical": dict(PHYSICAL_RB, mu="x"), "options": {"eta": 1}}, ["mu", "'x'"]),
+            (MASS_STUDY_ARGV.format(6, -2, 5), ["start (6.0) must be < stop (-2.0)"]),
+            (MASS_STUDY_ARGV.format(1, 1, 5), ["start (1.0) must be < stop (1.0)"]),
+            (MASS_STUDY_ARGV.format(-2, 6, 0), ["num_points must be >= 2, got 0"]),
+            (MASS_STUDY_ARGV.format(-2, 6, 1), ["num_points must be >= 2, got 1"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
-             "points-fraction", "eta-fraction", "scaled-eta-fraction"],
+             "points-fraction", "eta-fraction", "scaled-eta-fraction", "scaled-delta21-string",
+             "physical-N-fraction", "physical-mu-string", "mass-study-reversed", "mass-study-empty-range",
+             "mass-study-points-0", "mass-study-points-1"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)
         if isinstance(run, str):
-            code, _, err = run_cli(capsys, *run.split())
+            code, out, err = run_cli(capsys, *run.split())
         else:
             (tmp_path / "cfg.json").write_text(json.dumps(run))
-            code, _, err = run_cli(capsys, "run", "--config", "cfg.json")
+            code, out, err = run_cli(capsys, "run", "--config", "cfg.json")
         assert code == 1
         assert err.startswith("error: ")
         for text in named:
             assert text in err
+        # and nothing was written
+        assert out == "" and sorted(p.name for p in tmp_path.iterdir()) in ([], ["cfg.json"])
 
     @pytest.mark.parametrize(
         "config, where",
@@ -343,39 +363,33 @@ class TestBadOptionValues:
 
 
 class TestPhysicalBlock:
-    def physical_block(self):
-        k0 = 2.0 * math.pi / 780e-9
-        omega0 = 2.0 * math.pi * 384.23e12
-        omega2 = omega0 - 2.0 * math.pi * 30e9
-        return {
-            "mu": 2.5e-29,
-            "V": 1e-6,
-            "m": 1.44316e-25,
-            "N": 10**6,
-            "k0": k0,
-            "omega0": omega0,
-            "omega1": omega2,
-            "omega2": omega2,
-            "a2_0": 1e4,
-        }
-
     def test_physical_file_flag(self, capsys, tmp_path):
         blob = tmp_path / "phys.json"
-        blob.write_text(json.dumps(self.physical_block()))
+        blob.write_text(json.dumps(PHYSICAL_RB))
         code, out, _ = run_cli(capsys, "spectrum", "--physical", str(blob), "--eta", "1")
         assert code == 0
         assert "Γ =" in out
 
     def test_physical_requires_eta_option_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mode": "spectrum", "physical": self.physical_block(), "options": {}}))
+        cfg.write_text(json.dumps({"mode": "spectrum", "physical": PHYSICAL_RB, "options": {}}))
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 1
         assert "eta" in err
 
+    def test_integral_float_atom_number(self, capsys, tmp_path):
+        outs = []
+        for n in (10**6, 1e6):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"mode": "spectrum", "physical": dict(PHYSICAL_RB, N=n), "options": {"eta": 1}}))
+            code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+            assert code == 0 and "Γ =" in out
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_physical_with_scaled_flags_conflicts(self, capsys, tmp_path):
         blob = tmp_path / "phys.json"
-        blob.write_text(json.dumps(self.physical_block()))
+        blob.write_text(json.dumps(PHYSICAL_RB))
         code, _, err = run_cli(capsys, "spectrum", "--physical", str(blob), "--alpha-beta", "1")
         assert code == 1
         assert "not both" in err
@@ -615,6 +629,16 @@ class TestHelp:
         out = capsys.readouterr().out
         assert "scaled" in out
         assert "RAO" in out and "WAO" in out
+
+    @pytest.mark.parametrize("mode", list(MODES))
+    def test_help_lists_the_flags_of_the_tables_only(self, capsys, mode):
+        # every flag of a mode comes from its rows: POINT (with a parameter block) and its options, ETA among them
+        with pytest.raises(SystemExit):
+            main([mode, "--help"])
+        rows = (POINT if MODES[mode].block else ()) + MODES[mode].options
+        flags = {flag for o in rows for flag in o.flags if flag.startswith("--")}
+        assert set(re.findall(r"--[a-z][a-z0-9-]*", capsys.readouterr().out)) == flags | {"--help"}
+        assert (mode in ("spectrum", "threshold", "evolve")) == ("--eta" in flags)
 
     def test_every_mode_has_help(self, capsys):
         for mode in ("spectrum", "curve", "threshold", "evolve", "mass-study", "validate", "plot-script", "run"):

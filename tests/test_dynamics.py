@@ -264,7 +264,7 @@ def reference_evolve(s, init, tau_end, dt, output_stride, error_tol=1e-6):
     n_full = int(math.floor(span / dt + 1e-9))
     remainder = span - n_full * dt
     steps = [(dt, init.tau + i * dt) for i in range(1, n_full + 1)]
-    if remainder >= 1e-9 * dt:
+    if remainder >= 1e-9 * dt or not n_full:
         steps.append((remainder, tau_end))
     m = system_matrix(s)
     mats = {h: (_rk4_step_matrix(m, h), np.linalg.matrix_power(_rk4_step_matrix(m, h / 2.0), 2)) for h, _ in steps}
@@ -486,10 +486,13 @@ class TestColumns:
             with pytest.raises(ValueError):
                 column[0] = 1.0
 
-    def test_span_below_the_step_gives_the_initial_state_twice(self):
+    def test_span_below_the_step_takes_one_short_step(self):
         init = TrajectoryState(0.25, 1e-3 + 2e-3j, 0.5 + 0j, -0.5j)
         traj = evolve(self.P, init, tau_end=0.25 + 1e-13, dt=1e-3)
-        assert traj.steps == 0 and list(traj.samples) == [init, init]
+        taus, states, _, errs = reference_evolve(self.P, init, 0.25 + 1e-13, 1e-3, 100)
+        assert traj.steps == len(errs) == 1 and traj.tau.tolist() == taus == [0.25, 0.25 + 1e-13]
+        assert traj.samples[0] == init and traj.samples[1] != init
+        assert np.linalg.norm(traj.y - states, axis=1).max() <= 1e-12 * np.linalg.norm(states[1])
 
     def test_samples_view(self):
         states = tuple(TrajectoryState(0.5 * k, complex(k, -k), complex(0.0, k), complex(-k, 1.0)) for k in range(5))

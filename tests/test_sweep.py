@@ -49,49 +49,53 @@ class TestSweepSpec:
 
     def test_point_construction(self):
         spec = SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=5, fixed=1.5)
-        p = spec.point(0.5, "WAO")
+        p = ScaledParams.from_product(*spec.controls(0.5), WAO)
+        assert spec.controls(0.5) == (0.5, 1.5)
         assert p.delta21 == 0.5 and p.alpha_beta == 1.5 and p.eta == WAO
         spec2 = SweepSpec(axis="alpha_beta", start=0.1, stop=2.0, num_points=5, fixed=0.5)
-        p2 = spec2.point(1.0, "RAO")
+        p2 = ScaledParams.from_product(*spec2.controls(1.0), RAO)
+        assert spec2.controls(1.0) == (0.5, 1.0)
         assert p2.delta21 == 0.5 and p2.alpha_beta == 1.0 and p2.eta == RAO
+        # and a whole grid at once
+        grid = spec2.grid()
+        assert spec2.controls(grid)[0] == 0.5 and spec2.controls(grid)[1] is grid
+        assert spec.controls(grid)[0] is grid and spec.controls(grid)[1] == 1.5
 
 
 class TestGainCurve:
     def test_record_count_and_ordering(self):
         spec = SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=11, fixed=1.0)
         result = gain_curve(spec)
-        assert len(result.records) == 22
-        assert [r.regime for r in result.records[:11]] == ["RAO"] * 11
-        assert [r.regime for r in result.records[11:]] == ["WAO"] * 11
-        axis = [r.axis_value for r in result.records[:11]]
+        columns = (result.axis, result.regime, result.gamma, result.case, result.lambdas, result.boundary)
+        assert [len(column) for column in columns] == [22] * 6 and result.lambdas.shape == (22, 3)
+        assert result.regime[:11].tolist() == ["RAO"] * 11
+        assert result.regime[11:].tolist() == ["WAO"] * 11
+        axis = result.axis[:11].tolist()
         assert axis == sorted(axis)
-        assert all(r.gamma >= 0.0 for r in result.records)
+        assert (result.gamma >= 0.0).all()
 
     def test_matches_pointwise_spectra(self):
         spec = SweepSpec(axis="alpha_beta", start=0.1, stop=5.0, num_points=7, fixed=0.5)
         result = gain_curve(spec)
-        for rec in result.records:
-            eta = RAO if rec.regime == "RAO" else WAO
-            sp = eigen_spectrum(ScaledParams.from_product(0.5, rec.axis_value, eta))
-            assert rec.gamma == sp.gamma
-            assert rec.case == sp.case.value
-            assert rec.lambdas == sp.lambdas
+        for k in range(len(result.axis)):
+            eta = RAO if result.regime[k] == "RAO" else WAO
+            sp = eigen_spectrum(ScaledParams.from_product(0.5, float(result.axis[k]), eta))
+            assert result.gamma[k] == sp.gamma
+            assert result.case[k] == sp.case.value
+            assert tuple(result.lambdas[k].tolist()) == sp.lambdas
 
     def test_rao_gain_band_edge(self):
         # RAO curve positive below (27/4)^(1/3), zero beyond
         spec = SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=801, fixed=1.0, regimes=("RAO",))
         result = gain_curve(spec)
         edge = (27.0 / 4.0) ** (1.0 / 3.0)
-        for rec in result.records:
-            if rec.axis_value < edge - 1e-6:
-                assert rec.gamma > 0.0
-            elif rec.axis_value > edge + 1e-6:
-                assert rec.gamma == 0.0
+        assert (result.gamma[result.axis < edge - 1e-6] > 0.0).all()
+        assert (result.gamma[result.axis > edge + 1e-6] == 0.0).all()
 
     def test_wao_band_small_ab(self):
         spec = SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=801, fixed=0.1, regimes=("WAO",))
         result = gain_curve(spec)
-        by_axis = {r.axis_value: r.gamma for r in result.records}
+        by_axis = dict(zip(result.axis.tolist(), result.gamma.tolist()))
         assert by_axis[0.0] == 0.0
         grid = np.array(sorted(by_axis))
         gammas = np.array([by_axis[v] for v in grid])
@@ -103,10 +107,9 @@ class TestGainCurve:
         # classical model has no density threshold at zero detuning
         spec = SweepSpec(axis="alpha_beta", start=1e-4, stop=1.0, num_points=50, fixed=0.0, regimes=("RAO",))
         result = gain_curve(spec)
-        assert all(r.gamma > 0.0 for r in result.records)
+        assert (result.gamma > 0.0).all()
         # and the rate follows (sqrt(3)/2) * ab^(1/3) -> 0 as ab -> 0
-        smallest = result.records[0]
-        assert smallest.gamma == pytest.approx(np.sqrt(3.0) / 2.0 * smallest.axis_value ** (1.0 / 3.0), rel=1e-10)
+        assert result.gamma[0] == pytest.approx(np.sqrt(3.0) / 2.0 * result.axis[0] ** (1.0 / 3.0), rel=1e-10)
 
 
 class TestMassStudy:
@@ -116,29 +119,28 @@ class TestMassStudy:
         direct = gain_curve(spec)
         assert len(results) == 1
         got = results[0]
-        for a, b in zip(got.records, direct.records):
-            assert a.axis_value == b.axis_value
-            assert a.gamma == b.gamma
-            assert a.lambdas == b.lambdas
+        assert got.axis.tolist() == direct.axis.tolist()
+        assert got.gamma.tolist() == direct.gamma.tolist()
+        assert got.lambdas.tolist() == direct.lambdas.tolist()
 
     def test_rao_unit_mapping_self_consistency(self):
         # converted RAO curve at ratio s == plain RAO curve at alpha_beta/s
         s = 10.0
         results = mass_study(5.0, [s], num_points=401)
-        converted = results[0].filtered("RAO")
+        converted = results[0].gamma[results[0].regime == "RAO"]
         spec = SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=401, fixed=5.0 / s, regimes=("RAO",))
-        direct = gain_curve(spec).filtered("RAO")
-        worst = max(abs(a.gamma - b.gamma) for a, b in zip(converted, direct))
+        direct = gain_curve(spec).gamma
+        worst = np.max(np.abs(converted - direct))
         assert worst <= 1e-12
         # make sure the check actually exercises unstable points
-        assert max(r.gamma for r in direct) > 0.1
+        assert direct.max() > 0.1
 
     def test_convergence_with_mass(self):
         results = mass_study(5.0, [1.0, 10.0, 100.0], num_points=401)
         gaps = []
         for r in results:
-            gw = r.gamma_array("WAO")
-            gr = r.gamma_array("RAO")
+            gw = r.gamma[r.regime == "WAO"]
+            gr = r.gamma[r.regime == "RAO"]
             gaps.append(float(np.max(np.abs(gw - gr)) / gr.max()))
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -148,6 +150,8 @@ class TestMassStudy:
         assert meta["mass_ratio"] == 3.0
         assert meta["alpha_beta_base"] == 2.0
         assert meta["spec"]["fixed"] == 2.0 * 9.0
+        spec = {"axis": "delta21", "start": -2.0, "stop": 6.0, "num_points": 21, "fixed": 18.0, "regimes": ["RAO", "WAO"]}
+        assert meta["spec"] == spec
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +160,13 @@ class TestMassStudy:
             mass_study(1.0, [])
         with pytest.raises(ValueError):
             mass_study(1.0, [0.0])
+        with pytest.raises(ValueError, match=r"start \(6.0\) must be < stop \(-2.0\)"):
+            mass_study(1.0, [1.0], delta21_range=(6.0, -2.0))
+        with pytest.raises(ValueError, match=r"start \(1.0\) must be < stop \(1.0\)"):
+            mass_study(1.0, [1.0], delta21_range=(1.0, 1.0))
+        for points in (0, 1):
+            with pytest.raises(ValueError, match=f"num_points must be >= 2, got {points}"):
+                mass_study(1.0, [1.0], num_points=points)
 
     def test_rejects_unknown_regimes(self):
         with pytest.raises(ValueError, match="regimes"):
@@ -379,9 +390,10 @@ class TestSerialization:
         # the reference: one dict per row, the whole document through json.dumps
         keys = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3".split(",")
         axis_name = result.meta.get("spec", {}).get("axis", "axis")
+        columns = (result.axis, result.regime, result.gamma, result.case, result.lambdas)
         rows = [
-            [axis_name, r.axis_value, r.regime, r.gamma, r.case, *(part for l in r.lambdas for part in (l.real, l.imag))]
-            for r in result.records
+            [axis_name, a, r, g, c, *(part for l in lam for part in (l.real, l.imag))]
+            for a, r, g, c, lam in zip(*(column.tolist() for column in columns))
         ]
         doc = {"meta": result.meta, "records": [dict(zip(keys, row)) for row in rows]}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -462,13 +474,13 @@ class TestSerialization:
         # every record satisfies the spectrum Vieta identities (1% spot check)
         result = gain_curve(SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=801, fixed=2.0))
         rng = np.random.default_rng(1)
-        picks = rng.choice(len(result.records), size=max(1, len(result.records) // 100), replace=False)
+        picks = rng.choice(len(result.axis), size=max(1, len(result.axis) // 100), replace=False)
         for k in picks:
-            rec = result.records[int(k)]
-            eta = RAO if rec.regime == "RAO" else WAO
-            l1, l2, l3 = rec.lambdas
-            assert abs((l1 + l2 + l3) - 1j * rec.axis_value) <= 1e-10
-            assert abs(l1 * l2 * l3 - 1j * (2.0 + eta * rec.axis_value)) <= 1e-10
+            axis_value = float(result.axis[k])
+            eta = RAO if result.regime[k] == "RAO" else WAO
+            l1, l2, l3 = result.lambdas[k].tolist()
+            assert abs((l1 + l2 + l3) - 1j * axis_value) <= 1e-10
+            assert abs(l1 * l2 * l3 - 1j * (2.0 + eta * axis_value)) <= 1e-10
 
 
 

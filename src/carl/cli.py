@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every subcommand can equivalently be driven by a JSON config file via
-``carl run --config FILE``; the config document is
+Every subcommand but ``plot-script`` and ``run`` itself can equivalently
+be driven by a JSON config file via ``carl run --config FILE``; the config
+document is
 
     {"mode": "<subcommand>",
      "scaled":   {"delta21": ..., "alpha": ..., "beta": ..., "eta": ...}   (xor)
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -94,14 +96,24 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _checked(convert: Callable, ok: Callable, text: str) -> Callable:
+    """A type that converts by ``convert``, then raises ``ValueError(text)`` unless ``ok``."""
+    def parse(value):
+        if not ok(value := convert(value)):
+            raise ValueError(text)
+        return value
+    return parse
+
+
 ETA = Option(("--eta",), "eta", _integer, None, "regime flag: 0 = RAO (classical), 1 = WAO (quantum)", (0, 1))
 
-# the keys of the config blocks, in the order of the fields of ScaledParams and PhysicalParams
+# the keys of the config blocks, in the order of the fields of ScaledParams and PhysicalParams;
+# the physical keys check the ranges PhysicalParams checks, so that an error names the key
 SCALED = (*(Option((), key, float, REQUIRED) for key in ("delta21", "alpha", "beta")), ETA._replace(flags=(), default=REQUIRED))
-PHYSICAL = tuple(
-    Option((), key, _integer if key == "N" else float, REQUIRED)
-    for key in ("mu", "V", "m", "N", "k0", "omega0", "omega1", "omega2", "a2_0")
-)
+_POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be a finite positive number")
+_FINITE = _checked(float, math.isfinite, "must be finite")
+_KINDS = {"N": _checked(_integer, lambda v: v >= 1, "must be >= 1"), "omega0": _FINITE, "omega1": _FINITE, "omega2": _FINITE}
+PHYSICAL = tuple(Option((), key, _KINDS.get(key, _POSITIVE), REQUIRED) for key in ("mu", "V", "m", "N", "k0", "omega0", "omega1", "omega2", "a2_0"))
 POINT = (
     Option(("--delta21",), "delta21", float, None, "pump-probe detuning (scaled units, recoil quanta)"),
     Option(("--alpha-beta",), "alpha_beta", float, None, "gain control product alpha*beta (scaled, dimensionless)"),
@@ -144,7 +156,7 @@ def _resolve(rows: Sequence[Option], given, where: str) -> Dict:
             values[o.key] = raw if o.type is None else o.type(raw)
             if o.choices and values[o.key] not in o.choices:
                 raise ValueError(f"must be one of {', '.join(map(str, o.choices))}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"'{o.key}' = {raw!r} in {where}: {exc}") from exc
     return values
 
@@ -287,6 +299,9 @@ def _run_mass_study(_: None, options: Dict) -> int:
     if stem.endswith((".csv", ".json")):
         stem = stem.rsplit(".", 1)[0]
     written = [f"{stem}_r{ratio:g}.{fmt}" for ratio in ratios]
+    for k, path in enumerate(written):
+        if path in written[:k]:
+            raise ConfigError(f"ratios {ratios[written.index(path)]!r} and {ratios[k]!r} would both write {path}")
     for path, result in zip(written, results):
         _write_result(result, path, fmt)
     print(f"mass-study: ratios {ratios} -> {', '.join(written)}")
@@ -423,30 +438,30 @@ def _inspect_result_csv(path: str) -> Dict:
         f = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
-    with f:
-        text = f.read()
-    for line in text.split("\n"):
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                key, _, raw = body.partition(":")
-                try:
-                    meta[key.strip()] = json.loads(raw.strip())
-                except json.JSONDecodeError:
-                    meta[key.strip()] = raw.strip()
-        elif header is None:
-            header = line
-            got = [c.strip() for c in line.split(",")]
-            missing = [c for c in _CSV_COLUMNS.split(",") if c not in got]
-            if missing:
-                raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}")
-        else:
-            n_rows += 1
-            cells = line.split(",", 3)
-            if len(cells) > 2 and cells[2] not in regimes:
-                regimes.append(cells[2])
+    with f:  # one line at a time, so memory does not grow with the file
+        for line in f:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if ":" in body:
+                    key, _, raw = body.partition(":")
+                    try:
+                        meta[key.strip()] = json.loads(raw.strip())
+                    except json.JSONDecodeError:
+                        meta[key.strip()] = raw.strip()
+            elif header is None:
+                header = line
+                got = [c.strip() for c in line.split(",")]
+                missing = [c for c in _CSV_COLUMNS.split(",") if c not in got]
+                if missing:
+                    raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}")
+            else:
+                n_rows += 1
+                cells = line.split(",", 3)
+                if len(cells) > 2 and cells[2] not in regimes:
+                    regimes.append(cells[2])
     if n_rows == 0:
         raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
     return {"meta": meta, "regimes": regimes, "rows": n_rows}

@@ -25,7 +25,6 @@ gamma.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -37,7 +36,6 @@ from carl.spectrum import eigen_spectrum
 
 __all__ = [
     "TrajectoryState",
-    "TrajectorySamples",
     "Trajectory",
     "StepSizeRejection",
     "NonFiniteStateError",
@@ -92,51 +90,23 @@ class TrajectoryState:
         return np.array([self.A1, self.B, self.Bdot], dtype=complex)
 
 
-class TrajectorySamples(Sequence):
-    """Read-only columns ``tau`` ``(n,)`` and ``y`` ``(n, 3)`` (A1, B, Bdot), read as states.
-
-    A :class:`TrajectoryState` is built only when indexed; a slice gives a
-    tuple of them. Equality and hashing are by value.
-    """
-
-    def __init__(self, tau: np.ndarray, y: np.ndarray):
-        self.tau, self.y = tau, y
-        tau.flags.writeable = y.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.tau)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(TrajectoryState, self.tau[i].tolist(), *self.y[i].T.tolist()))
-        return TrajectoryState(float(self.tau[i]), *self.y[i].tolist())
-
-    def __iter__(self):
-        return iter(self[:])
-
-    def __eq__(self, other):
-        return isinstance(other, TrajectorySamples) and np.array_equal(self.tau, other.tau) and np.array_equal(self.y, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.tau + 0.0).tobytes() + (self.y + 0.0).tobytes())  # + 0.0 makes -0.0 0.0, its equal
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled evolution plus the parameters and step that produced it.
 
-    ``samples`` holds the columns :attr:`tau` and :attr:`y` as a
-    :class:`TrajectorySamples`; a sequence of :class:`TrajectoryState` given
-    instead is converted to one. ``linearity_flag`` is the tau of the first
-    step after which |B| exceeded 1; beyond that point the linearized model
-    no longer represents the physical bunching (|B| <= 1 for any real
+    The samples are the read-only columns ``tau`` ``(n,)`` and ``y``
+    ``(n, 3)`` complex (A1, B, Bdot); :attr:`samples` reads them as
+    :class:`TrajectoryState` values. ``linearity_flag`` is the tau of the
+    first step after which |B| exceeded 1; beyond that point the linearized
+    model no longer represents the physical bunching (|B| <= 1 for any real
     density grating), although the linear system itself remains well
     defined. ``steps`` counts the RK4 steps taken (a shortened final step
     included) and ``max_step_error`` is the largest step-doubling error
     estimate among them.
     """
 
-    samples: Sequence[TrajectoryState]
+    tau: np.ndarray
+    y: np.ndarray
     params: ScaledParams
     dt: float
     linearity_flag: Optional[float] = None
@@ -144,20 +114,11 @@ class Trajectory:
     max_step_error: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.samples, TrajectorySamples):
-            rows = np.array([(s.tau, s.A1, s.B, s.Bdot) for s in self.samples], dtype=complex).reshape(-1, 4)
-            object.__setattr__(self, "samples", TrajectorySamples(rows[:, 0].real.copy(), rows[:, 1:].copy()))
+        self.tau.flags.writeable = self.y.flags.writeable = False
 
     @property
-    def tau(self) -> np.ndarray:
-        return self.samples.tau
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.samples.y
-
-    def taus(self) -> np.ndarray:
-        return self.tau
+    def samples(self) -> Tuple[TrajectoryState, ...]:
+        return tuple(map(TrajectoryState, self.tau.tolist(), *self.y.T.tolist()))
 
     def probe_magnitudes(self) -> np.ndarray:
         """|A1| of every sample, bit for bit Python's ``abs`` (hypot; numpy's complex abs is off by an ulp at times)."""
@@ -364,7 +325,8 @@ def evolve(
 
     out[-1] = y
     return Trajectory(
-        samples=TrajectorySamples(tau, out),
+        tau=tau,
+        y=out,
         params=s,
         dt=dt,
         linearity_flag=linearity_flag,
@@ -410,18 +372,14 @@ def propagator(s: ScaledParams, tau: float) -> np.ndarray:
     return (v * np.exp(np.array(lambdas) * tau)) @ np.linalg.inv(v)
 
 
-def fit_growth_rate(
-    traj: Trajectory,
-    window: Tuple[float, float],
-    *,
-    residual_bound: float = 1e-2,
-) -> float:
+def fit_growth_rate(traj: Trajectory, window: Tuple[float, float]) -> float:
     """Least-squares slope of ln|A1| over a time window.
 
+    Reads the ``tau`` column and |A1| of the ``y`` column of ``traj``.
     Intended for late windows where the dominant eigenmode has taken over;
     there the slope equals the spectral growth rate gamma. If the rms
-    residual of the straight-line fit exceeds ``residual_bound`` the signal
-    is not exponential (oscillatory, below threshold) and
+    residual of the straight-line fit exceeds 1e-2 the signal is not
+    exponential (oscillatory, below threshold) and
     :class:`NonExponentialFitError` is raised.
     """
     lo, hi = window
@@ -442,8 +400,8 @@ def fit_growth_rate(
     logmag = np.log(mags)
     slope, intercept = np.polyfit(t, logmag, 1)
     residual = float(np.sqrt(np.mean((logmag - (slope * t + intercept)) ** 2)))
-    if residual > residual_bound:
-        raise NonExponentialFitError(residual=residual, bound=residual_bound)
+    if residual > 1e-2:
+        raise NonExponentialFitError(residual=residual, bound=1e-2)
     return float(slope)
 
 
@@ -456,11 +414,11 @@ def write_trajectory_csv(traj: Trajectory, path_or_file: PathOrFile) -> None:
     into ``#`` comment lines ahead of the mandatory header row.
     """
     with text_sink(path_or_file) as f:
-        p, seed = traj.params, traj.samples[0]
+        p, (a1, b, bdot) = traj.params, traj.y[0].tolist()
         flag = "none" if traj.linearity_flag is None else repr(traj.linearity_flag)
         f.write(
             f"# params: delta21={p.delta21!r} alpha={p.alpha!r} beta={p.beta!r} eta={p.eta}\n# dt: {traj.dt!r}\n"
-            f"# seed: abs_A1={abs(seed.A1)!r} abs_B={abs(seed.B)!r} abs_Bdot={abs(seed.Bdot)!r}\n"
+            f"# seed: abs_A1={abs(a1)!r} abs_B={abs(b)!r} abs_Bdot={abs(bdot)!r}\n"
             f"# linearity_flag_tau: {flag}\ntau,re_A1,im_A1,abs_A1,re_B,im_B,abs_B,re_Bdot,im_Bdot\n"
         )
         a1, b, bdot = traj.y.T

@@ -49,9 +49,6 @@ class SpectrumCase(Enum):
     STABLE = "I"  # all eigenvalues imaginary: bounded oscillation
     UNSTABLE = "II"  # one conjugate-broken pair: exponential growth
 
-    def __str__(self) -> str:
-        return f"Case {self.value}"
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -67,9 +64,6 @@ class Spectrum:
     case: SpectrumCase
     gamma: float
     boundary: bool
-
-    def __str__(self) -> str:
-        return f"gamma = {self.gamma:.6g}, {self.case}"
 
 
 def spectrum_arrays(delta21, alpha_beta, eta):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -322,15 +323,26 @@ class TestBadOptionValues:
             ({"mode": "spectrum", "scaled": dict(SCALED_WAO, delta21="x"), "options": {}}, ["delta21", "'x'"]),
             ({"mode": "spectrum", "physical": dict(PHYSICAL_RB, N=1.5), "options": {"eta": 1}}, ["N", "1.5"]),
             ({"mode": "spectrum", "physical": dict(PHYSICAL_RB, mu="x"), "options": {"eta": 1}}, ["mu", "'x'"]),
+            ({"mode": "spectrum", "physical": dict(PHYSICAL_RB, mu=-1), "options": {"eta": 1}},
+             ["'mu' = -1 in 'physical' block: must be a finite positive number"]),
+            ({"mode": "spectrum", "physical": dict(PHYSICAL_RB, N=0), "options": {"eta": 1}},
+             ["'N' = 0 in 'physical' block: must be >= 1"]),
+            ({"mode": "spectrum", "physical": dict(PHYSICAL_RB, mu=10**400), "options": {"eta": 1}},
+             ["'mu' = 1000", "in 'physical' block: int too large to convert to float"]),
             (MASS_STUDY_ARGV.format(6, -2, 5), ["start (6.0) must be < stop (-2.0)"]),
             (MASS_STUDY_ARGV.format(1, 1, 5), ["start (1.0) must be < stop (1.0)"]),
             (MASS_STUDY_ARGV.format(-2, 6, 0), ["num_points must be >= 2, got 0"]),
             (MASS_STUDY_ARGV.format(-2, 6, 1), ["num_points must be >= 2, got 1"]),
+            (MASS_STUDY_ARGV.replace("--ratios 1", "--ratios 1,1.0000001").format(-2, 6, 5),
+             ["ratios 1.0 and 1.0000001 would both write rev_r1.csv"]),
+            (MASS_STUDY_ARGV.replace("--ratios 1", "--ratios 1,1").format(-2, 6, 5),
+             ["ratios 1.0 and 1.0 would both write rev_r1.csv"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
              "points-fraction", "eta-fraction", "scaled-eta-fraction", "scaled-delta21-string",
-             "physical-N-fraction", "physical-mu-string", "mass-study-reversed", "mass-study-empty-range",
-             "mass-study-points-0", "mass-study-points-1"],
+             "physical-N-fraction", "physical-mu-string", "physical-mu-negative", "physical-N-0", "physical-mu-past-float",
+             "mass-study-reversed", "mass-study-empty-range", "mass-study-points-0", "mass-study-points-1",
+             "mass-study-same-file", "mass-study-same-ratio"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)
@@ -611,6 +623,19 @@ class TestPlotScript:
             _inspect_result_csv(str(path))
         with pytest.raises(ConfigError, match="cannot read result file"):
             _inspect_result_csv(str(tmp_path / "absent.csv"))
+
+    def test_inspect_memory_stays_bounded(self, tmp_path):
+        # 10**5 rows, a 3.5 MB file: the scan holds one line at a time
+        path = tmp_path / "big.csv"
+        path.write_text(f"# spec: {{\"axis\": \"delta21\"}}\n{self.HEADER}\n" + "".join(f"{self.ROW.format(r)}\n" for r in ("RAO", "WAO") * 50_000))
+        tracemalloc.start()
+        try:
+            info = _inspect_result_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info["rows"] == 10**5 and info["regimes"] == ["RAO", "WAO"]
+        assert peak <= 1e6
 
     def test_empty_result_file_is_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -216,7 +216,8 @@ class TestWritersMatchRowTemplates:
             TrajectoryState(0.0, complex(3e-310, -0.0), complex(math.inf, 1.0), complex(1e300, -1e300)),
             TrajectoryState(0.5, complex(math.nan, 2.0), 0j, complex(-0.0, 5e-324)),
         ]
-        traj = Trajectory(samples=tuple(states), params=ScaledParams.from_product(0.0, 1.0, RAO), dt=0.5)
+        tau, y = np.array([s.tau for s in states]), np.array([[s.A1, s.B, s.Bdot] for s in states])
+        traj = Trajectory(tau=tau, y=y, params=ScaledParams.from_product(0.0, 1.0, RAO), dt=0.5)
         text = written(write_trajectory_csv, traj)
         assert text.split("im_Bdot\n", 1)[1] == reference_trajectory_rows(traj)
 

@@ -365,14 +365,6 @@ class TestSerialization:
             jbufs.append(buf.getvalue())
         assert jbufs[0] == jbufs[1]
 
-    def test_timestamp_only_when_requested(self):
-        buf = io.StringIO()
-        write_sweep_csv(gain_curve(self.spec()), buf)
-        assert "timestamp" not in buf.getvalue()
-        buf2 = io.StringIO()
-        write_sweep_csv(gain_curve(self.spec(), timestamp="2026-08-10T00:00:00Z"), buf2)
-        assert '# timestamp: "2026-08-10T00:00:00Z"' in buf2.getvalue()
-
     def test_polylines_csv(self):
         lines = threshold_map((-2.0, 6.0), (0.05, 5.0), WAO, resolution=32)
         buf = io.StringIO()
@@ -405,9 +397,8 @@ class TestSerialization:
             lambda: [gain_curve(SweepSpec(axis="alpha_beta", start=0.01, stop=5.0, num_points=201, fixed=0.3))],
             lambda: [gain_curve(SweepSpec(axis="delta21", start=-1.0, stop=3.0, num_points=51, fixed=0.5, regimes=("WAO",)))],
             lambda: mass_study(2.5, [1.0, 10.0, 100.0], num_points=101),
-            lambda: [gain_curve(SweepSpec(axis="delta21", start=-1.0, stop=2.0, num_points=11, fixed=1.0), timestamp="2026-08-10T00:00:00Z")],
         ],
-        ids=["delta21", "alpha_beta", "wao_only", "mass_study", "timestamp"],
+        ids=["delta21", "alpha_beta", "wao_only", "mass_study"],
     )
     def test_json_bytes_match_one_dict_per_row(self, make):
         results = make()

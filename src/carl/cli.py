@@ -36,7 +36,7 @@ from carl._io import text_sink, write_json
 from carl._version import __version__
 from carl.dynamics import NonFiniteStateError, StepSizeRejection, TrajectoryState, evolve, write_trajectory_csv
 from carl.params import PhysicalParams, ScaledParams, to_scaled
-from carl.spectrum import eigen_spectrum
+from carl.spectrum import _ALPHA_BETA_MAX, _ALPHA_BETA_MIN, _DELTA21_MAX, eigen_spectrum
 from carl.sweep import (
     _CSV_COLUMNS,
     SweepSpec,
@@ -80,12 +80,14 @@ class Mode(NamedTuple):
 
     ``block`` says whether it takes the :data:`POINT` flags, or the
     scaled/physical parameter block of a config; its handler then gets the
-    resolved :class:`ScaledParams`, else None.
+    resolved :class:`ScaledParams`, else None. ``sizes`` are the options
+    that set the sizes of its arrays, which an allocation failure names.
     """
 
     help: str
     run: Callable[[Optional[ScaledParams], Dict], int]
     block: bool
+    sizes: Tuple[str, ...]
     options: Tuple[Option, ...]
 
 
@@ -97,11 +99,15 @@ def _integer(value) -> int:
 
 
 def _checked(convert: Callable, ok: Callable, text: str) -> Callable:
-    """A type that converts by ``convert``, then raises ``ValueError(text)`` unless ``ok``."""
+    """A type that converts by ``convert``, then raises ``ValueError(text)`` unless ``ok``.
+
+    argparse only converts a flag of this type (``parse.convert``); :func:`_resolve` checks it, naming the key.
+    """
     def parse(value):
         if not ok(value := convert(value)):
             raise ValueError(text)
         return value
+    parse.convert = convert
     return parse
 
 
@@ -114,6 +120,13 @@ _POSITIVE = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be a fin
 _FINITE = _checked(float, math.isfinite, "must be finite")
 _KINDS = {"N": _checked(_integer, lambda v: v >= 1, "must be >= 1"), "omega0": _FINITE, "omega1": _FINITE, "omega2": _FINITE}
 PHYSICAL = tuple(Option((), key, _KINDS.get(key, _POSITIVE), REQUIRED) for key in ("mu", "V", "m", "N", "k0", "omega0", "omega1", "omega2", "a2_0"))
+# a count past 2**48 (2 PiB of floats) is refused before numpy, which refuses sizes near 2**63 bytes by a
+# ValueError, OverflowError or IndexError depending on the call; below it an allocation failure names the option
+_SIZE = _checked(_integer, lambda v: v <= 2**48, f"must be <= 2**48 = {2**48}")
+# the window of carl threshold: the detunings and products threshold_map accepts
+_DETUNING = _checked(float, lambda v: abs(v) <= _DELTA21_MAX, f"must be in [{-_DELTA21_MAX:g}, {_DELTA21_MAX:g}]")
+_PRODUCT = _checked(float, lambda v: -math.inf < v <= 0.0 or _ALPHA_BETA_MIN <= v <= _ALPHA_BETA_MAX,
+                    f"must be finite and either <= 0 or in [{_ALPHA_BETA_MIN!r}, {_ALPHA_BETA_MAX:g}]")
 POINT = (
     Option(("--delta21",), "delta21", float, None, "pump-probe detuning (scaled units, recoil quanta)"),
     Option(("--alpha-beta",), "alpha_beta", float, None, "gain control product alpha*beta (scaled, dimensionless)"),
@@ -332,40 +345,40 @@ _FORMAT = ("csv", "json")
 
 MODES: Dict[str, Mode] = {
     "spectrum": Mode(
-        "eigenvalues, stability case and growth rate at one control point", _run_spectrum, True,
+        "eigenvalues, stability case and growth rate at one control point", _run_spectrum, True, (),
         (ETA, Option(("-o", "--output"), "output", str, None, "optional JSON output path")),
     ),
     "curve": Mode(
-        "growth-rate curve along one control axis (CSV/JSON)", _run_curve, True,
+        "growth-rate curve along one control axis (CSV/JSON)", _run_curve, True, ("points",),
         (
             Option(("--axis",), "axis", str, REQUIRED, "swept control (scaled units)", _AXIS),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled units)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled units)"),
-            Option(("--points",), "points", _integer, REQUIRED, "number of grid points (>= 2)"),
+            Option(("--points",), "points", _SIZE, REQUIRED, "number of grid points (>= 2)"),
             Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
             Option(("-o", "--output"), "output", str, REQUIRED, "output file path"),
             Option(("--format",), "format", str, "csv", "output format (default csv)", _FORMAT),
         ),
     ),
     "threshold": Mode(
-        "instability boundary polyline in the (delta21, alpha_beta) plane", _run_threshold, True,
+        "instability boundary polyline in the (delta21, alpha_beta) plane", _run_threshold, True, ("resolution",),
         (
             ETA,
-            Option(("--delta21-from",), "delta21_from", float, REQUIRED, "detuning window start (scaled)"),
-            Option(("--delta21-to",), "delta21_to", float, REQUIRED, "detuning window stop (scaled)"),
-            Option(("--alpha-beta-from",), "alpha_beta_from", float, REQUIRED, "alpha*beta window start (scaled)"),
-            Option(("--alpha-beta-to",), "alpha_beta_to", float, REQUIRED, "alpha*beta window stop (scaled)"),
-            Option(("--resolution",), "resolution", _integer, 256, "number of delta21 grid points (>= 16, default 256)"),
+            Option(("--delta21-from",), "delta21_from", _DETUNING, REQUIRED, "detuning window start (scaled)"),
+            Option(("--delta21-to",), "delta21_to", _DETUNING, REQUIRED, "detuning window stop (scaled)"),
+            Option(("--alpha-beta-from",), "alpha_beta_from", _PRODUCT, REQUIRED, "alpha*beta window start (scaled)"),
+            Option(("--alpha-beta-to",), "alpha_beta_to", _PRODUCT, REQUIRED, "alpha*beta window stop (scaled)"),
+            Option(("--resolution",), "resolution", _SIZE, 256, "number of delta21 grid points (>= 16, default 256)"),
             Option(("-o", "--output"), "output", str, REQUIRED, "output CSV path (branch_id,delta21,alpha_beta)"),
         ),
     ),
     "evolve": Mode(
-        "integrate the coupled-mode equations, write trajectory CSV", _run_evolve, True,
+        "integrate the coupled-mode equations, write trajectory CSV", _run_evolve, True, ("tau_end", "dt", "stride"),
         (
             ETA,
             Option(("--tau-end",), "tau_end", float, REQUIRED, "final scaled time tau"),
             Option(("--dt",), "dt", float, 1e-3, "integrator step in scaled time (default 1e-3)"),
-            Option(("--stride",), "stride", _integer, 100, "output every N steps (default 100)"),
+            Option(("--stride",), "stride", _SIZE, 100, "output every N steps (default 100)"),
             Option(("--a1-seed",), "a1_seed", _complex, 1e-6, "initial probe amplitude A1(0), real (default 1e-6)"),
             Option(("--b0",), "b0", _complex, 0.0, "initial bunching B(0), real (default 0)"),
             Option(("--bdot0",), "bdot0", _complex, 0.0, "initial dB/dtau, real (default 0)"),
@@ -373,25 +386,25 @@ MODES: Dict[str, Mode] = {
         ),
     ),
     "mass-study": Mode(
-        "RAO/WAO convergence with atomic mass, in reference-mass units", _run_mass_study, False,
+        "RAO/WAO convergence with atomic mass, in reference-mass units", _run_mass_study, False, ("points",),
         (
             Option(("--alpha-beta-base",), "alpha_beta_base", float, REQUIRED, "alpha*beta at mass ratio 1 (scaled)"),
             Option(("--ratios",), "ratios", None, REQUIRED, "comma-separated mass ratios, e.g. 1,10,100"),
             Option(("--from",), "from", float, -2.0, "detuning start in reference units (default -2)"),
             Option(("--to",), "to", float, 6.0, "detuning stop in reference units (default 6)"),
-            Option(("--points",), "points", _integer, 801, "grid points (default 801)"),
+            Option(("--points",), "points", _SIZE, 801, "grid points (default 801)"),
             Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
             Option(("-o", "--output"), "output", str, REQUIRED, "output stem; files <stem>_r<ratio>.<fmt>"),
             Option(("--format",), "format", str, "csv", "output format (default csv)", _FORMAT),
         ),
     ),
     "validate": Mode(
-        "cross-check sweep growth rates against time-domain fits", _run_validate, True,
+        "cross-check sweep growth rates against time-domain fits", _run_validate, True, ("points",),
         (
             Option(("--axis",), "axis", str, REQUIRED, "swept control (scaled units)", _AXIS),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled)"),
-            Option(("--points",), "points", _integer, REQUIRED, "number of grid points"),
+            Option(("--points",), "points", _SIZE, REQUIRED, "number of grid points"),
             Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
             Option(("--samples",), "samples", _integer, REQUIRED, "number of random grid samples to validate"),
             Option(("--seed",), "seed", _integer, 0, "RNG seed for sample selection (default 0)"),
@@ -407,8 +420,9 @@ def execute(config: Dict) -> int:
     Options and block keys are checked and converted by :func:`_resolve`;
     options left out or null get their table defaults. A ``TypeError`` or
     ``ValueError`` from building the parameters or running the mode becomes
-    a :class:`ConfigError`. Modes without the eta option take their base
-    point in the regime ``DEFAULT_ETA``.
+    a :class:`ConfigError`, and so does a ``MemoryError``, named by the
+    mode's size options. Modes without the eta option take their base point
+    in the regime ``DEFAULT_ETA``.
     """
     _check_keys(config, ("mode", "scaled", "physical", "options"), "config")
     name = config.get("mode")
@@ -419,6 +433,9 @@ def execute(config: Dict) -> int:
     try:
         params = _scaled_from_config(config, options.get("eta", DEFAULT_ETA)) if mode.block else None
         return mode.run(params, options)
+    except MemoryError as exc:
+        given = ", ".join(f"'{key}' = {options[key]!r}" for key in mode.sizes)
+        raise ConfigError(f"{given} in options for mode '{name}': {str(exc) or 'out of memory'}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -535,7 +552,7 @@ def emit_plot_script(
 def _add_option(sub: argparse.ArgumentParser, o: Option) -> None:
     required = o.default is REQUIRED
     sub.add_argument(
-        *o.flags, dest=o.key, type=o.type, choices=o.choices, required=required,
+        *o.flags, dest=o.key, type=getattr(o.type, "convert", o.type), choices=o.choices, required=required,
         default=None if required else o.default, help=o.help, metavar=o.metavar,
     )
 

@@ -254,8 +254,9 @@ def evolve(
     init : TrajectoryState
         Initial state; ``init.tau`` is the starting time.
     tau_end : float
-        Final scaled time, finite and past ``init.tau``. If the span is not
-        an integer number of steps, a single shortened final step is taken.
+        Final scaled time, finite, past ``init.tau`` and fewer than 2**53
+        steps from it. If the span is not an integer number of steps, a
+        single shortened final step is taken.
     dt : float
         Step size in scaled time, positive and finite.
     output_stride : int
@@ -286,6 +287,8 @@ def evolve(
         raise ValueError(f"output_stride must be >= 1, got {output_stride}")
 
     span = tau_end - init.tau
+    if not span / dt < 2.0**53:  # past it a float does not count the steps exactly
+        raise ValueError(f"tau_end - tau = {span:g} is {span / dt:g} steps of dt = {dt:g}, more than 2**53")
     n_full = int(math.floor(span / dt + 1e-9))
     remainder = span - n_full * dt
     if remainder < 1e-9 * dt and n_full:  # rounding, unless it is the whole span

@@ -185,7 +185,8 @@ def _alpha_beta_roots(delta21, eta):
     ``r1 r2 = -4r^2`` instead (``r1 = 2r^2/(h + b)`` when ``b > 0``), and
     ``1 - 9u^2`` is formed as ``(1 - delta21)(1 + delta21)``, so both roots
     are accurate to a few ulps, also next to the recoil resonance.
-    Accepts scalars or arrays; returns arrays.
+    Accepts scalars or arrays; returns arrays. :func:`_root_pair` is the
+    same arithmetic at one point.
     """
     if eta not in (RAO, WAO):
         raise ValueError(f"eta must be 0 (RAO) or 1 (WAO), got {eta!r}")
@@ -201,6 +202,20 @@ def _alpha_beta_roots(delta21, eta):
     small = 2.0 * r * np.divide(r, half_big, out=np.zeros_like(r), where=r > 0.0)
     positive = b > 0.0
     return np.where(positive, small, big), np.where(positive, -big, -small)
+
+
+def _root_pair(d: float, eta: int) -> Tuple[float, float]:
+    """:func:`_alpha_beta_roots` at one detuning ``|d| <= 1e100``: the same
+    operations on floats, so the same doubles, without numpy's cost per call."""
+    u = d / 3.0
+    b = u * (eta - u * u)
+    r = math.sqrt(eta / 27.0) * abs((1.0 - d) * (1.0 + d))
+    # numpy's hypot, not math.hypot: they differ in the last bit on about 1 in
+    # 200 random pairs of similar size (10 062 of 2e6, CPython 3.11, numpy 2.4)
+    half_big = float(np.hypot(b, r)) + abs(b)
+    big = 2.0 * half_big
+    small = 2.0 * r * (r / half_big) if r > 0.0 else 0.0
+    return (small, -big) if b > 0.0 else (big, -small)
 
 
 def threshold_lhs(delta21, alpha_beta, eta):
@@ -243,27 +258,30 @@ def critical_alpha_beta(delta21: float, eta: int) -> Optional[float]:
     then no finite positive threshold. ``|delta21| > 1e100`` raises
     ``ValueError``.
     """
-    r1 = float(_alpha_beta_roots(delta21, eta)[0])
+    if eta not in (RAO, WAO):
+        raise ValueError(f"eta must be 0 (RAO) or 1 (WAO), got {eta!r}")
+    d = float(delta21)
+    if not abs(d) <= _DELTA21_MAX:
+        raise _delta21_out_of_range(d)
+    r1 = _root_pair(d, eta)[0]
     return None if r1 == 0.0 else r1
 
 
-def critical_delta21(
-    alpha_beta: float,
-    eta: int,
-    *,
-    window: Tuple[float, float] = (-10.0, 20.0),
-) -> List[float]:
+def critical_delta21(alpha_beta: float, eta: int, *, window: Tuple[float, float] = (-10.0, 20.0)) -> List[float]:
     """All detunings where the stability class flips, at fixed alpha*beta.
 
     These are the gain-band edges of a growth-rate-versus-detuning curve:
     the real roots of ``27*threshold_lhs`` as a polynomial in delta21 across
     which it changes sign. For eta = 0 that is ``27ab^2/4 - ab d^3``, with
     the single root ``(27ab/4)^(1/3)``. For eta = 1 it is the quartic
-    ``-d^4 - ab d^3 + 2d^2 + 9ab d + 27ab^2/4 - 1``: ``numpy.roots`` gives
-    starting points, a guarded Newton iteration polishes them and only the
-    roots with opposite signs of the indicator on either side are kept, so a
-    gain band of any width is found. ``window`` filters the result. Returns
-    an ascending (possibly empty) list.
+    ``-d^4 - ab d^3 + 2d^2 + 9ab d + 27ab^2/4 - 1``: its roots as
+    ``numpy.roots`` finds them are starts, each distinct start is polished
+    by its own Newton iteration in float arithmetic, and only the roots with
+    opposite signs of the indicator on either side are kept, so a gain band
+    of any width is found. A start stops at its first step that does not
+    lower ``|indicator|``, the rule under which the former Newton iteration
+    on all starts as one array froze it, so it reaches the same double.
+    ``window`` filters the result. Returns an ascending (possibly empty) list.
     """
     if not _ALPHA_BETA_MIN <= alpha_beta <= _ALPHA_BETA_MAX:
         raise ValueError(f"alpha_beta must be in [{_ALPHA_BETA_MIN:g}, {_ALPHA_BETA_MAX:g}], got {alpha_beta}")
@@ -280,38 +298,48 @@ def critical_delta21(
     return [e for e in edges if lo_w <= e <= hi_w]
 
 
+def _wao_indicator(d: float, ab: float) -> float:
+    """``threshold_lhs(d, ab, WAO) / ab``: the same sign and roots, but it does
+    not underflow where ab and the band width are tiny."""
+    r1, r2 = _root_pair(d, WAO)
+    return (ab - r1) * ((ab - r2) / (4.0 * ab))
+
+
 def _wao_edges(ab: float) -> List[float]:
     """Ascending detunings where the eta = 1 class flips at alpha*beta = ab."""
-
-    def indicator(d):
-        # threshold_lhs / ab: same sign and roots, but it does not underflow
-        # where ab and the band width are tiny
-        r1, r2 = _alpha_beta_roots(d, WAO)
-        return (ab - r1) * ((ab - r2) / (4.0 * ab))
-
-    # numpy.roots can return two roots closer than it resolves as a complex
+    # numpy.roots without its checks: the eigenvalues of the same companion matrix
+    # (at the one ab where the constant term is 0 it drops it; the edges agree)
+    companion = np.eye(4, k=-1)
+    companion[0] = -ab, 2.0, 9.0 * ab, -(1.0 - 6.75 * ab * ab)
+    z = np.linalg.eigvals(companion)
+    # they can hold two roots closer than LAPACK resolves as a complex
     # pair with a small imaginary part; starting on both sides of the pair
     # lets Newton reach each root from outside it. Above ab ~ 1e30 it loses
     # the smaller roots to the one near -ab; the large-ab asymptotes of the
     # two edges, -ab and (27ab/4)^(1/3), are started from as well.
-    z = np.roots([1.0, ab, -2.0, -9.0 * ab, 1.0 - 6.75 * ab * ab])
     z = z[np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z))]
-    x = np.concatenate([z.real - np.abs(z.imag), z.real + np.abs(z.imag), [-ab, 3.0 * _cbrt(ab / 4.0)]])
-    x = np.clip(x, -_DELTA21_MAX, _DELTA21_MAX)
-    with np.errstate(all="ignore"):
-        f = indicator(x)
-        for _ in range(100):
+    starts = [*(z.real - np.abs(z.imag)).tolist(), *(z.real + np.abs(z.imag)).tolist(), -ab, 3.0 * _cbrt(ab / 4.0)]
+    top = _DELTA21_MAX
+    roots = set()
+    for x in dict.fromkeys(starts):  # equal starts take equal paths
+        x = min(max(x, -top), top)
+        f = _wao_indicator(x, ab)
+        for _ in range(100):  # guarded Newton: stop at the first step that does not lower |f|
             slope = (9.0 - 3.0 * x * x + 4.0 * x * (1.0 - x) * (1.0 + x) / ab) / 27.0
-            xn = np.clip(x - f / slope, -_DELTA21_MAX, _DELTA21_MAX)
-            xn = np.where(np.isfinite(xn), xn, x)
-            fn = indicator(xn)
-            better = np.abs(fn) < np.abs(f)
-            if not better.any():
+            try:
+                step = f / slope
+            except ZeroDivisionError:  # numpy's quotient: +-inf, or nan for 0/0
+                step = f * math.copysign(math.inf, slope) if f else math.nan
+            xn = min(max(x - step, -top), top)
+            if xn != xn:  # a nan step (0/0) is no step
                 break
-            x, f = np.where(better, xn, x), np.where(better, fn, f)
-        # keep a root where the indicator has opposite signs at the probes on
-        # either side of it: midway to its neighbours, or the ends of the range
-        x = np.unique(x)
-        probes = np.concatenate([[-_DELTA21_MAX], 0.5 * (x[:-1] + x[1:]), [_DELTA21_MAX]])
-        unstable = indicator(probes) > 0.0
-    return [float(e) for e in x[unstable[:-1] != unstable[1:]]]
+            fn = _wao_indicator(xn, ab)
+            if not abs(fn) < abs(f):
+                break
+            x, f = xn, fn
+        roots.add(x)
+    # keep a root where the indicator has opposite signs at the probes on
+    # either side of it: midway to its neighbours, or the ends of the range
+    x = sorted(roots)
+    unstable = [_wao_indicator(p, ab) > 0.0 for p in (-top, *(0.5 * (a + b) for a, b in zip(x, x[1:])), top)]
+    return [e for e, lo, hi in zip(x, unstable, unstable[1:]) if lo != hi]

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from carl.cli import MODES, POINT, ConfigError, _inspect_result_csv, build_parser, main
@@ -288,6 +289,8 @@ class TestConfigRoundTrip:
 SCALED_WAO = {"delta21": 0.0, "alpha": 1.0, "beta": 1.0, "eta": 1}
 VALIDATE_ARGV = "validate --axis delta21 --from -1 --to 3 --points 41 --alpha-beta 1 --samples 4"
 MASS_STUDY_ARGV = "mass-study --alpha-beta-base 1 --ratios 1 --from {} --to {} --points {} -o rev"
+THRESHOLD_ARGV = "threshold --eta 1 --delta21-from -2 --delta21-to 6 --alpha-beta-from 0.01 --alpha-beta-to 10 -o thr.csv"
+EVOLVE_ARGV = "evolve --delta21 0.5 --alpha-beta 1 --eta 1 --dt 1e-3 -o traj.csv"
 K0 = 2.0 * math.pi / 780e-9
 OMEGA0 = 2.0 * math.pi * 384.23e12
 OMEGA2 = OMEGA0 - 2.0 * math.pi * 30e9
@@ -337,12 +340,36 @@ class TestBadOptionValues:
              ["ratios 1.0 and 1.0000001 would both write rev_r1.csv"]),
             (MASS_STUDY_ARGV.replace("--ratios 1", "--ratios 1,1").format(-2, 6, 5),
              ["ratios 1.0 and 1.0 would both write rev_r1.csv"]),
+            # sizes numpy refuses before it allocates anything, by several kinds of error
+            ({"mode": "curve", "scaled": SCALED_WAO,
+              "options": {"axis": "delta21", "from": -1, "to": 3, "points": 10**30, "output": "c.csv"}},
+             [f"'points' = {10**30} in options for mode 'curve': must be <= 2**48 = 281474976710656"]),
+            (MASS_STUDY_ARGV.format(-2, 6, 10**30), [f"'points' = {10**30} in options for mode 'mass-study': must be <="]),
+            (VALIDATE_ARGV.replace("--points 41", f"--points {10**30}"),
+             [f"'points' = {10**30} in options for mode 'validate': must be <="]),
+            (THRESHOLD_ARGV + f" --resolution {10**30}", [f"'resolution' = {10**30} in options for mode 'threshold': must be <="]),
+            (EVOLVE_ARGV + f" --tau-end 1 --stride {10**30}", [f"'stride' = {10**30} in options for mode 'evolve': must be <="]),
+            (EVOLVE_ARGV + " --tau-end 1e300", ["tau_end - tau = 1e+300 is 1e+303 steps of dt = 0.001, more than 2**53"]),
+            # the window of the threshold map, checked by the option table
+            (THRESHOLD_ARGV.replace("--alpha-beta-to 10", "--alpha-beta-to=1e200"),
+             ["'alpha_beta_to' = 1e+200 in options for mode 'threshold': "
+              "must be finite and either <= 0 or in [2.2250738585072014e-308, 1e+150]"]),
+            (THRESHOLD_ARGV.replace("--alpha-beta-from 0.01", "--alpha-beta-from=1e-320"),
+             ["'alpha_beta_from' = 1e-320 in options for mode 'threshold': must be finite and either <= 0"]),
+            (THRESHOLD_ARGV.replace("--delta21-from -2", "--delta21-from=-1e101"),
+             ["'delta21_from' = -1e+101 in options for mode 'threshold': must be in [-1e+100, 1e+100]"]),
+            (THRESHOLD_ARGV.replace("--alpha-beta-from 0.01", "--alpha-beta-from=nan"),
+             ["'alpha_beta_from' = nan in options for mode 'threshold': must be finite and either <= 0"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
              "points-fraction", "eta-fraction", "scaled-eta-fraction", "scaled-delta21-string",
              "physical-N-fraction", "physical-mu-string", "physical-mu-negative", "physical-N-0", "physical-mu-past-float",
              "mass-study-reversed", "mass-study-empty-range", "mass-study-points-0", "mass-study-points-1",
-             "mass-study-same-file", "mass-study-same-ratio"],
+             "mass-study-same-file", "mass-study-same-ratio",
+             "curve-points-1e30", "mass-study-points-1e30", "validate-points-1e30", "threshold-resolution-1e30",
+             "evolve-stride-1e30", "evolve-steps-past-2**53",
+             "threshold-alpha-beta-to-1e200", "threshold-alpha-beta-from-subnormal", "threshold-delta21-from-1e101",
+             "threshold-alpha-beta-from-nan"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)
@@ -357,6 +384,36 @@ class TestBadOptionValues:
             assert text in err
         # and nothing was written
         assert out == "" and sorted(p.name for p in tmp_path.iterdir()) in ([], ["cfg.json"])
+
+    @pytest.mark.parametrize(
+        "run, builder, named",
+        [
+            ("curve --axis delta21 --from -1 --to 3 --points 100000000000 --alpha-beta 1 -o c.csv", "linspace",
+             "'points' = 100000000000 in options for mode 'curve': Unable to allocate"),
+            (MASS_STUDY_ARGV.format(-2, 6, 100000000000), "linspace",
+             "'points' = 100000000000 in options for mode 'mass-study': Unable to allocate"),
+            (VALIDATE_ARGV.replace("--points 41", "--points 100000000000"), "linspace",
+             "'points' = 100000000000 in options for mode 'validate': Unable to allocate"),
+            (THRESHOLD_ARGV + " --resolution 100000000000", "linspace",
+             "'resolution' = 100000000000 in options for mode 'threshold': Unable to allocate"),
+            (EVOLVE_ARGV + " --tau-end 1e12 --stride 1", "empty",
+             "'tau_end' = 1000000000000.0, 'dt' = 0.001, 'stride' = 1 in options for mode 'evolve': Unable to allocate"),
+        ],
+        ids=["curve", "mass-study", "validate", "threshold", "evolve"],
+    )
+    def test_allocation_failure_names_the_size_options(self, capsys, tmp_path, monkeypatch, run, builder, named):
+        # the builder fails as numpy does where the memory is not there; no test
+        # asks for a real oversized array, which a host that overcommits memory
+        # could grant and then kill the run on first touch
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(np, builder, fail)
+        code, out, err = run_cli(capsys, *run.split())
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "config, where",

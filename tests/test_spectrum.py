@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -20,7 +21,7 @@ from carl import (
     gamma_rao_closed_form,
     threshold_lhs,
 )
-from carl.spectrum import _cbrt, spectrum_arrays
+from carl.spectrum import _DELTA21_MAX, _alpha_beta_roots, _cbrt, _root_pair, _wao_edges, spectrum_arrays
 
 SQRT3_HALF = 0.86602540378443865  # sqrt(3)/2
 WAO_ZERO_DETUNING_THRESHOLD = 0.38490017945975051  # 2/(3*sqrt(3))
@@ -547,3 +548,97 @@ def test_closed_form_at_large_alpha_beta_within_4_ulps():
     expected = 7.5145092943993853e49
     got = gamma_rao_closed_form(-28.735343225800317, 6.532959754169764e149)
     assert abs(got - expected) <= 4 * math.ulp(expected)
+
+
+def reference_wao_edges(ab):
+    """The former array form of ``carl.spectrum._wao_edges``: every Newton start
+    polished in one array, a start frozen at its first step that does not
+    lower |indicator|, until no start improves."""
+
+    def indicator(d):
+        r1, r2 = _alpha_beta_roots(d, WAO)
+        return (ab - r1) * ((ab - r2) / (4.0 * ab))
+
+    z = np.roots([1.0, ab, -2.0, -9.0 * ab, 1.0 - 6.75 * ab * ab])
+    z = z[np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z))]
+    x = np.concatenate([z.real - np.abs(z.imag), z.real + np.abs(z.imag), [-ab, 3.0 * _cbrt(ab / 4.0)]])
+    x = np.clip(x, -_DELTA21_MAX, _DELTA21_MAX)
+    with np.errstate(all="ignore"):
+        f = indicator(x)
+        for _ in range(100):
+            slope = (9.0 - 3.0 * x * x + 4.0 * x * (1.0 - x) * (1.0 + x) / ab) / 27.0
+            xn = np.clip(x - f / slope, -_DELTA21_MAX, _DELTA21_MAX)
+            xn = np.where(np.isfinite(xn), xn, x)
+            fn = indicator(xn)
+            better = np.abs(fn) < np.abs(f)
+            if not better.any():
+                break
+            x, f = np.where(better, xn, x), np.where(better, fn, f)
+        x = np.unique(x)
+        probes = np.concatenate([[-_DELTA21_MAX], 0.5 * (x[:-1] + x[1:]), [_DELTA21_MAX]])
+        unstable = indicator(probes) > 0.0
+    return [float(e) for e in x[unstable[:-1] != unstable[1:]]]
+
+
+def _bits(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(ab=st.floats(math.log10(sys.float_info.min), 150.0).map(lambda e: min(max(10.0**e, sys.float_info.min), 1e150)))
+@example(ab=1e-8)  # the workload's band narrower than any scan step
+@example(ab=0.05)  # the threshold map's lower window edge
+@example(ab=40.0)  # and its upper one
+@example(ab=WAO_ZERO_DETUNING_THRESHOLD)  # the one ab where the quartic's constant term is 0: numpy.roots drops it
+@example(ab=1e30)  # numpy.roots starts to lose the smaller roots to the one near -ab
+@example(ab=1e100)  # the start -ab is clipped to the detuning range
+@example(ab=2.0955345732413593e101)  # where an unclipped start -ab gave other edges
+@example(ab=1e150)
+@example(ab=sys.float_info.min)
+def test_wao_edges_equal_the_array_iteration_bit_for_bit(ab):
+    """One Newton per distinct start, in float arithmetic, reaches the doubles
+    the array iteration reached, and keeps the same edges."""
+    expected = _bits(reference_wao_edges(ab))
+    assert _bits(_wao_edges(ab)) == expected
+    assert _bits(critical_delta21(ab, WAO, window=(-_DELTA21_MAX, _DELTA21_MAX))) == expected
+
+
+def assert_one_point_roots_equal_the_array_roots(d, eta):
+    r1, r2 = _alpha_beta_roots(d, eta)
+    assert _bits(_root_pair(d, eta)) == _bits([r1, r2])
+    assert _bits([critical_alpha_beta(d, eta)]) == _bits([float(r1) or None])
+
+
+CRITICAL_DETUNINGS = [0.0, -0.0, 1.0, -1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-52, -1.0 + 2.0**-52, -1.0 - 2.0**-52, 1e100, -1e100]
+
+
+@pytest.mark.parametrize("eta", [RAO, WAO])
+@pytest.mark.parametrize("d", CRITICAL_DETUNINGS)
+def test_one_point_roots_equal_the_array_roots_at_edge_detunings(d, eta):
+    assert_one_point_roots_equal_the_array_roots(d, eta)
+
+
+def test_one_point_roots_equal_the_array_roots_on_a_dense_grid():
+    # b and r are of similar size here, where np.hypot and math.hypot can
+    # differ in the last bit
+    d = np.concatenate([np.linspace(-6.0, 6.0, 12001), np.linspace(0.999, 1.001, 2001)])
+    for eta in (RAO, WAO):
+        r1, r2 = _alpha_beta_roots(d, eta)
+        got = [x for v in d.tolist() for x in _root_pair(v, eta)]
+        assert _bits(got) == _bits(np.column_stack([r1, r2]).ravel())
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(
+    log_d=st.floats(-320.0, 100.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    eta=st.sampled_from([RAO, WAO]),
+)
+def test_one_point_roots_equal_the_array_roots(log_d, sign, eta):
+    assert_one_point_roots_equal_the_array_roots(sign * 10.0**log_d, eta)
+
+
+@pytest.mark.parametrize("eta", [RAO, WAO])
+def test_critical_alpha_beta_nan_is_a_named_error(eta):
+    with pytest.raises(ValueError, match=r"delta21 = nan is out of range"):
+        critical_alpha_beta(math.nan, eta)

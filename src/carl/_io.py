@@ -1,21 +1,43 @@
-"""The one output path of every carl writer: a path or an open text file.
+"""The one output path of every carl writer, and its float kernel.
 
-Every CSV writer builds its data rows through :func:`csv_rows`, which spells
-each float exactly as ``'%.17g' % x`` does, from whole arrays. For a finite
-``x`` with ``1e-28 <= |x| < 1e17`` it finds the 17 significant digits
-without dtoa. The decimal exponent ``e`` comes from the float's bits and one
-comparison with a table of powers of ten. With ``p = 16 - e`` up to 22,
-``10**p`` is an exact double, so Dekker's error-free product (a Veltkamp
+Writers take a path or an open text file. The kernel spells whole arrays of
+floats byte for byte as CPython's ``'%.17g' % x`` (the CSV rows,
+:func:`csv_rows`) and ``float.__repr__`` (the sweep JSON, :func:`json_floats`,
+with the json module's ``NaN``, ``Infinity`` and ``-Infinity``).
+
+For a finite ``x`` with ``1e-28 <= |x| < 1e17`` it finds the 17 significant
+digits without dtoa. The decimal exponent ``e`` comes from the float's bits
+and one comparison with a table of powers of ten. With ``p = 16 - e`` up to
+22, ``10**p`` is an exact double, so Dekker's error-free product (a Veltkamp
 split, then four products and sums; numpy never fuses two ufunc calls)
 gives ``|x| * 10**p = hi + lo`` exactly. ``hi`` is an even integer near
-[1e16, 1e17), and ``hi + rint(lo)`` is the 17-digit mantissa, exact ties
-rounding half to even as dtoa does. Below 1e-6 (``p`` above 22) the exact
-``|x| * 1e22 = hi + lo`` is scaled once more by ``10**(p - 22)``, the low
-part with a rounding error below 1e-14, which decides the rounding except
-within 1e-9 of a half. A mantissa that rounds up to ``10**17`` carries
-into the exponent. Zeros are laid out directly; every other value (those
-near halves, ``|x| < 1e-28``, ``|x| >= 1e17``, nan and inf) is spelled by
-``'%.17g' %`` itself, so every byte is CPython's.
+[1e16, 1e17), and ``n = hi + rint(lo)`` is the 17-digit mantissa, exact
+ties rounding half to even as dtoa does. Below 1e-6 (``p`` above 22) the
+exact ``|x| * 1e22 = hi + lo`` is scaled once more by ``10**(p - 22)``, the
+low part with a rounding error below 1e-14, which decides the rounding
+except within 1e-9 of a half. A mantissa that rounds up to ``10**17``
+carries into the exponent. Zeros are laid out directly; every other value
+(those near halves, ``|x| < 1e-28``, ``|x| >= 1e17``, nan and inf) is
+spelled by ``'%.17g' %`` itself.
+
+``float.__repr__`` is the shortest decimal that reads back as ``x``, the
+nearest where several do (Steele and White 1990; Gay 1990, mode 0). For
+``1e-6 <= |x| < 1e17`` it comes from the same ``hi + lo``. A decimal reads
+back within ``U = 2**(b - 53) * 10**p`` of ``hi + lo`` (half the spacing of
+the doubles around ``x``, ``b`` its binary exponent), and at ``U`` where the
+mantissa of ``x`` is even. The spelling is ``c15``, ``hi + lo`` rounded to
+15 digits, less its trailing zeros if that reads back, else ``c16`` (to 16,
+the sign of ``lo - rint(lo)`` deciding a tie at ``n``) if that does, else
+``n``. This is exact: ``U`` is at most 11.1, under half the spacing of
+15-digit decimals, so a spelling of 15 or fewer digits that reads back is
+``c15``; the nearest 16-digit decimal reads back where any does (below a
+power of two the doubles are twice as near, which changes nothing for the
+powers of two in range; the tests spell each); and a distance rounded once
+compares with ``U`` as the exact one does, for with ``U = 5**p * 2**-k``
+any other distance is at least ``2**-k`` (or 1) from it, over half the
+spacing of the doubles there. Values are positional for ``-4 <= e <= 15``
+(``.0`` where no fraction digit follows; zeros are ``0.0`` and ``-0.0``);
+every other value is spelled by ``json.dumps`` itself.
 
 Each value gets a slot of ``_SLOT`` bytes: the sign, the ``0.000`` of a
 value below 1e-4, 18 bytes of digits and point, and the ``e-06`` of an
@@ -24,7 +46,7 @@ with no digits after it, are left as zero bytes, and a row's zero bytes are
 dropped when the text is made, which is what the ``g`` conversion's
 stripping does. The slots are computed byte plane by byte plane (an array
 of shape ``(_SLOT, values)``), so every numpy operation runs over a whole
-block of values. The kernel keeps to float64, int64 and bool arithmetic
+block of values. Both spellings keep to float64, int64 and bool arithmetic
 and one uint8 product: each further numpy loop a process runs adds its
 machine code, 64 kB at a time, to the resident memory.
 """
@@ -58,7 +80,7 @@ def write_json(doc, path_or_file: PathOrFile) -> None:
 
 
 # ---------------------------------------------------------------------------
-# '%.17g' over whole arrays
+# '%.17g' and float.__repr__ over whole arrays
 # ---------------------------------------------------------------------------
 
 _SLOT = 28  # sign 1, "0.000" 5, digits and point 18, "e-06" 4
@@ -92,9 +114,19 @@ _LOG10_2 = math.log10(2.0)
 # plane's character is there when the exponent is at most the plane's bound)
 _PREFIX, _PREFIX_UPTO = np.array([[48], [46], [48], [48], [48]], np.uint8), np.array([[-1], [-1], [-2], [-3], [-4]])
 # the "e-06" of an exponential spelling (planes 24-27) by decimal exponent, column exponent + 28
-_SUFFIX = np.frombuffer(
-    "".join(("e%+03d" % x if not -4 <= x < 17 else "").ljust(4, "\0") for x in range(-28, 18)).encode("ascii"), np.uint8
-).reshape(46, 4).T.copy()
+_SUFFIX = np.frombuffer("".join("e%+03d" % x for x in range(-28, 18)).encode("ascii"), np.uint8).reshape(46, 4).T.copy()
+_POW2 = (np.arange(2047, dtype=np.int64) * 2**52).view(np.float64)  # 2**(k - 1023) at k >= 1
+
+
+def _to_rounded(step: int, up) -> np.ndarray:
+    """What rounds n to a multiple of ``step``, by its last two digits l at l and l + 100 (l - 100 reads from the end)."""
+    return np.array([float(step * up(l) - l % step) for l in list(range(100)) * 2])
+
+
+# to 16 digits by the sign of the rest below n, half to even; to 15, where a tie reads back as neither
+_UP16, _DOWN16 = _to_rounded(10, lambda l: l % 10 >= 5), _to_rounded(10, lambda l: l % 10 > 5)
+_EVEN16 = _to_rounded(10, lambda l: l % 10 > 5 or l % 10 == 5 and l // 10 % 2 == 1)
+_TO15 = _to_rounded(100, lambda l: l >= 50)
 
 
 def _exact_product(ax: np.ndarray, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -118,18 +150,19 @@ def _split(v: np.ndarray, base: float) -> Tuple[np.ndarray, np.ndarray]:
     return q, v - q * base
 
 
-def _mantissas(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 17-digit mantissa and decimal exponent of each ``x``, and where they are not used.
+def _mantissas(x: np.ndarray, shortest: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17-digit mantissa (or with ``shortest``, the shortest one padded with zeros) and decimal exponent of each ``x``.
 
     Zeros get mantissa 0 and exponent 0. The mask is true for zeros and for
-    the values that ``'%.17g' %`` spells instead.
+    the values that the fallback spells instead.
     """
     ax = np.abs(x)
-    other = ~((ax >= _CEIL10[1]) & (ax < 1e17))  # nan too
+    other = ~((ax >= _CEIL10[23 if shortest else 1]) & (ax < 1e17))  # nan too
     np.putmask(ax, other, 1.5)
-    # the decimal exponent: a float's bits, read as an integer and scaled by
-    # 2**-52, are 1023 + log2 of it to within 0.09, so the guess is at most one off
-    e = np.floor((ax.view(np.int64) * 2.0**-52 - 1023) * _LOG10_2).astype(np.intp)
+    # a float's bits, read as an integer and scaled by 2**-52, are 1023 + log2 of
+    # it to within 0.09, so the guess of the decimal exponent is at most one off
+    biased = ax.view(np.int64) * 2.0**-52
+    e = np.floor((biased - 1023) * _LOG10_2).astype(np.intp)
     e = np.where(ax >= _CEIL10[e + 30], e + 1, e)
     e = np.where(ax < _CEIL10[e + 29], e - 1, e)
     p = 16 - e
@@ -143,15 +176,49 @@ def _mantissas(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         hi[tiny], low = _exact_product(hi[tiny], q)
         lo[tiny] = low + lo[tiny] * _POW10[q]
         other[tiny[np.abs(np.abs(lo[tiny] - np.rint(lo[tiny])) - 0.5) < 1e-9]] = True
-    # hi is an even integer, so rounding lo half to even rounds hi + lo half to even;
+    # hi is an even integer, so rounding lo half to even rounds hi + lo half to even
+    near = np.rint(lo)
+    n = hi.astype(np.int64) + near.astype(np.int64)
+    if shortest:
+        n += _shortening(n, lo - near, ax, biased, p)
     # a mantissa rounded up to 10**17 carries into the exponent (the double 1e-14 is one)
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     carry = n == 10**17
     n[carry] = 10**16
     e = np.where(carry, e + 1, e)
     n[other] = 0
     e[other] = 0
     return n, e, other
+
+
+def _shortening(n, rest, ax, biased, p) -> np.ndarray:
+    """What to add to each 17-digit mantissa ``n`` for that of the shortest spelling that reads back.
+
+    ``n + rest`` is ``|x| * 10**p`` exactly; ``biased`` is :func:`_mantissas`' guess at the binary exponent.
+    """
+    # the biased binary exponent: the guess's floor, or one less where the bits' conversion rounded up
+    b = np.floor(biased).astype(np.intp)
+    b = np.where(ax < _POW2[b], b - 1, b)
+    u = _POW2[b - 53] * _POW10[p]
+    # the last two digits of n give or take 100 (the float quotient may be one off),
+    # and the roundings to 16 and 15 digits as offsets from n
+    low = n - np.floor(n * 1e-2).astype(np.int64) * 100
+    to16 = np.where(rest > 0, _UP16[low], np.where(rest < 0, _DOWN16[low], _EVEN16[low]))
+    to15 = _TO15[low]
+
+    def reads_back(to: np.ndarray) -> np.ndarray:
+        # n + to lies |to - rest| from |x| * 10**p, which rounded compares with U as it
+        # is; at U it reads back where the mantissa of x is even
+        s = np.abs(to - rest)
+        ok = s < u
+        ends = np.flatnonzero(s == u)
+        if ends.size:
+            half = ax[ends] * _POW2[2098 - b[ends]] * 0.5
+            ok[ends] = half == np.floor(half)
+        return ok
+
+    # where a 15-digit decimal reads back, so does the nearest 16-digit one
+    ok15 = reads_back(to15)
+    return np.where(ok15, to15, np.where(reads_back(to16), to16, 0.0)).astype(np.int64)
 
 
 def _digits(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -177,29 +244,31 @@ def _digits(n: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return digits, np.maximum(17 - zeros, 1)  # 1 for a zero
 
 
-def _g17_slots(x: np.ndarray) -> np.ndarray:
-    """The bytes of ``'%.17g' % v`` for each ``v`` of the 1-d float64 array ``x``.
+def _slots(x: np.ndarray, shortest: bool = False) -> np.ndarray:
+    """The bytes of ``'%.17g' % v``, or with ``shortest`` of ``json.dumps(v)``, for each ``v`` of the 1-d float64 ``x``.
 
     Returns a ``(_SLOT, len(x))`` uint8 array: column ``i`` holds the spelling
     of ``x[i]`` in order, with zero bytes where nothing is written.
     """
     m = len(x)
     x = np.concatenate([x, np.zeros(-m % 8)])  # whole int64 words per row of bytes
-    n, exponent, other = _mantissas(x)
+    n, exponent, other = _mantissas(x, shortest)
     digits, s = _digits(n)
     del n
     slots = np.empty((_SLOT, len(x)), np.uint8)
     np.multiply(np.signbit(x).view(np.uint8), np.uint8(45), out=slots[0])
     np.multiply(((exponent <= _PREFIX_UPTO) & (exponent >= -4)).view(np.uint8), _PREFIX, out=slots[1:6])
     slots[24:] = 0
-    exponential = np.flatnonzero((exponent < -4) | (exponent > 16))
+    positional = (exponent >= -4) & (exponent <= (15 if shortest else 16))
+    exponential = np.flatnonzero(~positional)
     slots[24:, exponential] = _SUFFIX[:, exponent[exponential] + 28]
     # `last` is the index of the last digit before the point; digits are kept up to the
-    # significant ones and the integer part, and the point goes after digit `last` if
-    # digits follow it, else nowhere (18)
-    last = np.where((exponent >= -4) & (exponent <= 16), np.maximum(exponent, -1), 0)
+    # significant ones and the integer part (a shortest spelling keeps one zero after
+    # it), and the point goes after digit `last` if digits follow it, else nowhere (18)
+    last = np.where(positional, np.maximum(exponent, -1), 0)
+    s = np.maximum(s, np.where(positional & (last >= 0), last + 2, last + 1) if shortest else last + 1)
     kept = np.zeros((19, len(x)), np.uint8)
-    np.multiply(digits, (_K[:17] < np.maximum(s, last + 1)).view(np.uint8), out=kept[1:18])
+    np.multiply(digits, (_K[:17] < s).view(np.uint8), out=kept[1:18])
     point = np.where((s > last + 1) & (last >= 0), last + 1, 18)
     del digits, s, last
     # the digits before the point, the point and the digits after it: disjoint bytes, so summed as int64
@@ -210,10 +279,22 @@ def _g17_slots(x: np.ndarray) -> np.ndarray:
 
     other = np.flatnonzero(other & (x != 0.0))
     if other.size:
-        spelled = (("%-24.17g" * other.size) % tuple(x[other].tolist())).replace(" ", "\0")
-        slots[:24, other] = np.frombuffer(spelled.encode("ascii"), np.uint8).reshape(other.size, 24).T
+        fmt, spell = ("%-24s", json.dumps) if shortest else ("%-24.17g", float)
+        spelled = (fmt * other.size) % tuple(map(spell, x[other].tolist()))
+        slots[:24, other] = np.frombuffer(spelled.replace(" ", "\0").encode("ascii"), np.uint8).reshape(other.size, 24).T
         slots[24:, other] = 0
     return slots[:, :m]
+
+
+def json_floats(x: np.ndarray) -> List[str]:
+    """Each value of the 1-d float64 ``x`` as the json module spells it: ``float.__repr__``, or NaN, Infinity, -Infinity."""
+    texts: List[str] = []
+    for start in range(0, len(x), _BLOCK):
+        slots = _slots(x[start : start + _BLOCK], shortest=True)
+        cells = np.full((slots.shape[1], _SLOT + 1), 10, np.uint8)  # a newline after each spelling
+        cells[:, :_SLOT] = slots.T
+        texts += cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
+    return texts
 
 
 def _text_cells(values, sep: bytes) -> np.ndarray:
@@ -271,5 +352,5 @@ def csv_rows(fields: Sequence, n: int) -> Iterator[str]:
                 at += c.shape[1]
         values = np.stack([f[start:stop] for f in floats]).ravel()
         slots = block[:, head:].reshape(stop - start, len(floats), pitch)[:, :, :_SLOT]
-        slots[...] = _g17_slots(values).reshape(_SLOT, len(floats), stop - start).transpose(2, 1, 0)
+        slots[...] = _slots(values).reshape(_SLOT, len(floats), stop - start).transpose(2, 1, 0)
         yield block.tobytes().translate(None, b"\0").decode("utf-8")

@@ -452,33 +452,32 @@ def _inspect_result_csv(path: str) -> Dict:
     regimes = []
     n_rows = 0
     try:
-        f = open(path, "r", encoding="utf-8")
-    except OSError as exc:
+        with open(path, "r", encoding="utf-8") as f:  # one line at a time, so memory does not grow with the file
+            for line in f:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if ":" in body:
+                        key, _, raw = body.partition(":")
+                        try:
+                            meta[key.strip()] = json.loads(raw.strip())
+                        except json.JSONDecodeError:
+                            meta[key.strip()] = raw.strip()
+                elif header is None:
+                    header = line
+                    got = [c.strip() for c in line.split(",")]
+                    missing = [c for c in _CSV_COLUMNS.split(",") if c not in got]
+                    if missing:
+                        raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}")
+                else:
+                    n_rows += 1
+                    cells = line.split(",", 3)
+                    if len(cells) > 2 and cells[2] not in regimes:
+                        regimes.append(cells[2])
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
-    with f:  # one line at a time, so memory does not grow with the file
-        for line in f:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if ":" in body:
-                    key, _, raw = body.partition(":")
-                    try:
-                        meta[key.strip()] = json.loads(raw.strip())
-                    except json.JSONDecodeError:
-                        meta[key.strip()] = raw.strip()
-            elif header is None:
-                header = line
-                got = [c.strip() for c in line.split(",")]
-                missing = [c for c in _CSV_COLUMNS.split(",") if c not in got]
-                if missing:
-                    raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}")
-            else:
-                n_rows += 1
-                cells = line.split(",", 3)
-                if len(cells) > 2 and cells[2] not in regimes:
-                    regimes.append(cells[2])
     if n_rows == 0:
         raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
     return {"meta": meta, "regimes": regimes, "rows": n_rows}
@@ -561,7 +560,7 @@ def _load_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load {what} {path!r}: {exc}") from exc
 
 

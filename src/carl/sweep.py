@@ -9,10 +9,9 @@ fills the columns of their :class:`SweepResult` objects.
 The CSV writers (sweeps here, trajectories in :mod:`carl.dynamics`) build
 their rows with :func:`carl._io.csv_rows`, which spells every float exactly
 as ``'%.17g' % x`` does but from whole arrays, in blocks of rows. The sweep
-JSON fills one %-template per record from blocks of rows (``.tolist()``),
-spells floats as the json module does (``float.__repr__``, and ``NaN``,
-``Infinity`` or ``-Infinity`` when not finite) and passes only ``meta``
-through ``json.dumps``.
+JSON spells its floats as the json module does, from whole arrays too
+(:func:`carl._io.json_floats`), and passes only ``meta`` through
+``json.dumps``.
 
 The threshold map needs no root finding on a grid: the stability boundary is
 the graph of the closed-form critical alpha*beta over delta21 (the
@@ -27,12 +26,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from carl._io import PathOrFile, csv_rows, text_sink
+from carl._io import PathOrFile, csv_rows, json_floats, text_sink
 from carl._version import __version__
 from carl.dynamics import NonExponentialFitError, TrajectoryState, evolve, fit_growth_rate
 from carl.params import RAO, WAO, ScaledParams
@@ -324,10 +322,12 @@ def validate_sweep(spec: SweepSpec, n_samples: int, *, seed: int = 0) -> Validat
 
 _CSV_COLUMNS = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3"
 _TEXT_COLUMNS = ("regime", "case")
-# one JSON record as json.dumps(indent=2, sort_keys=True) lays it out inside "records"
+# one JSON record as json.dumps(indent=2, sort_keys=True) lays it out inside "records",
+# cut at its values, and the text after each value of a record that another follows
 _JSON_KEYS = sorted(_CSV_COLUMNS.split(","))
-_JSON_RECORD = "    {\n" + ",\n".join(f'      "{key}": %s' for key in _JSON_KEYS) + "\n    }"
-_JSON_ROWS = 1024  # records filled and written at a time
+_JSON_PIECES = ("    {\n" + ",\n".join(f'      "{key}": %s' for key in _JSON_KEYS) + "\n    }").split("%s")
+_JSON_AFTER = _JSON_PIECES[1:-1] + [_JSON_PIECES[-1] + ",\n" + _JSON_PIECES[0]]
+_JSON_ROWS = 512  # records filled and written at a time: 4096 floats spelled in one kernel call
 
 
 def _named_columns(result: SweepResult) -> Tuple[object, Dict[str, np.ndarray]]:
@@ -337,16 +337,6 @@ def _named_columns(result: SweepResult) -> Tuple[object, Dict[str, np.ndarray]]:
     for j in range(3):
         columns[f"re_l{j + 1}"], columns[f"im_l{j + 1}"] = lam[:, j].real, lam[:, j].imag
     return result.meta.get("spec", {}).get("axis", "axis"), columns
-
-
-def _json_values(column: np.ndarray) -> list:
-    """A column as the json module spells its values, for ``%s``."""
-    values = column.tolist()
-    if column.dtype.kind in "UO":  # strings: each distinct one encoded once
-        spelled = {v: json.dumps(v) for v in set(values)}
-        return list(map(spelled.__getitem__, values))
-    # %s spells a finite float as float.__repr__, as json does; json spells the others NaN, Infinity, -Infinity
-    return values if np.isfinite(column).all() else list(map(json.dumps, values))
 
 
 def write_sweep_csv(result: SweepResult, path_or_file: PathOrFile) -> None:
@@ -366,23 +356,34 @@ def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
 
     The document is byte for byte ``json.dumps({"meta": ..., "records": [...]},
     indent=2, sort_keys=True)`` plus a newline, each record an object keyed by
-    the CSV header. Only ``meta`` goes through ``json.dumps``; the records are
-    one template, its keys in sorted order, filled and written in blocks of
-    ``_JSON_ROWS`` rows, so the memory used does not grow with the rows. Floats
-    are spelled as the json module spells them: ``float.__repr__``, and
-    ``NaN``, ``Infinity`` or ``-Infinity`` when not finite; each distinct
-    string is encoded once.
+    the CSV header. Only ``meta`` goes through ``json.dumps``. The records are
+    written in blocks of ``_JSON_ROWS`` rows, so the memory used does not grow
+    with the rows; the floats of a block are spelled in one kernel call, each
+    distinct string once, and joined with the fixed text of the records.
     """
     axis_name, columns = _named_columns(result)
-    n = len(result.axis)
+    floats = [key for key in columns if key not in _TEXT_COLUMNS]
+    n, width = len(result.axis), 2 * len(_JSON_KEYS)
     # the meta object with its closing "\n}" cut off; "records" sorts after "meta"
     head = json.dumps({"meta": result.meta}, indent=2, sort_keys=True)[:-2]
     with text_sink(path_or_file) as f:
-        f.write(f'{head},\n  "records": [')
+        f.write(f'{head},\n  "records": [' + ("\n" + _JSON_PIECES[0] if n else ""))
         for start in range(0, n, _JSON_ROWS):
-            values = {key: _json_values(column[start : start + _JSON_ROWS]) for key, column in columns.items()}
-            values["axis_name"] = repeat(json.dumps(axis_name))
-            f.write((",\n" if start else "\n") + ",\n".join(map(_JSON_RECORD.__mod__, zip(*(values[key] for key in _JSON_KEYS)))))
+            rows = min(n - start, _JSON_ROWS)
+            texts = json_floats(np.stack([np.asarray(columns[key][start : start + rows], dtype=float) for key in floats]).ravel())
+            values = {key: texts[i * rows : (i + 1) * rows] for i, key in enumerate(floats)}
+            for key in _TEXT_COLUMNS:  # each distinct string encoded once
+                text = columns[key][start : start + rows].tolist()
+                values[key] = list(map({v: json.dumps(v) for v in set(text)}.__getitem__, text))
+            values["axis_name"] = [json.dumps(axis_name)] * rows
+            # each record's values, each followed by the text after it
+            items = [""] * (width * rows)
+            for k, (key, after) in enumerate(zip(_JSON_KEYS, _JSON_AFTER)):
+                items[2 * k :: width] = values[key]
+                items[2 * k + 1 :: width] = [after] * rows
+            if start + rows == n:
+                items[-1] = _JSON_PIECES[-1]
+            f.write("".join(items))
         f.write(("\n  ]" if n else "]") + "\n}\n")
 
 

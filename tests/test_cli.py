@@ -360,6 +360,14 @@ class TestBadOptionValues:
              ["'delta21_from' = -1e+101 in options for mode 'threshold': must be in [-1e+100, 1e+100]"]),
             (THRESHOLD_ARGV.replace("--alpha-beta-from 0.01", "--alpha-beta-from=nan"),
              ["'alpha_beta_from' = nan in options for mode 'threshold': must be finite and either <= 0"]),
+            # input files with a byte that is not UTF-8
+            (("run --config cfg.json", "cfg.json",
+              json.dumps({"mode": "spectrum", "scaled": SCALED_WAO, "options": {}}).encode().replace(b"spectrum", b"spec\xfftrum")),
+             ["cannot load config 'cfg.json': 'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"]),
+            (("spectrum --physical phys.json --eta 0", "phys.json", json.dumps(PHYSICAL_RB).encode().replace(b'"N"', b'"\xffN"')),
+             ["cannot load physical-parameter file 'phys.json': 'utf-8' codec can't decode byte 0xff in position"]),
+            (("plot-script curve.csv -o x.gp", "curve.csv", b"axis_name,axis_value,regime\ndelta21,0.5,RAO\n\xff\n"),
+             ["cannot read result file 'curve.csv': 'utf-8' codec can't decode byte 0xff in position"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
              "points-fraction", "eta-fraction", "scaled-eta-fraction", "scaled-delta21-string",
@@ -369,10 +377,15 @@ class TestBadOptionValues:
              "curve-points-1e30", "mass-study-points-1e30", "validate-points-1e30", "threshold-resolution-1e30",
              "evolve-stride-1e30", "evolve-steps-past-2**53",
              "threshold-alpha-beta-to-1e200", "threshold-alpha-beta-from-subnormal", "threshold-delta21-from-1e101",
-             "threshold-alpha-beta-from-nan"],
+             "threshold-alpha-beta-from-nan", "config-not-utf8", "physical-file-not-utf8", "plot-script-result-not-utf8"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)
+        inputs = ["cfg.json"]
+        if isinstance(run, tuple):  # a command line, and the input file it reads with its bytes
+            run, name, data = run
+            (tmp_path / name).write_bytes(data)
+            inputs = [name]
         if isinstance(run, str):
             code, out, err = run_cli(capsys, *run.split())
         else:
@@ -383,7 +396,7 @@ class TestBadOptionValues:
         for text in named:
             assert text in err
         # and nothing was written
-        assert out == "" and sorted(p.name for p in tmp_path.iterdir()) in ([], ["cfg.json"])
+        assert out == "" and sorted(p.name for p in tmp_path.iterdir()) in ([], inputs)
 
     @pytest.mark.parametrize(
         "run, builder, named",

@@ -1,4 +1,4 @@
-"""The CSV row builder: exact '%.17g' over whole arrays, and the three writers built on it."""
+"""The float kernel: exact '%.17g' and float.__repr__ over whole arrays, and the CSV writers built on it."""
 
 import io
 import json
@@ -28,7 +28,7 @@ from carl import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from carl._io import csv_rows
+from carl._io import _BLOCK, csv_rows, json_floats
 
 
 def spelled(values):
@@ -101,6 +101,85 @@ class TestExactG17:
         # rows of one float: blocks of several thousand values, and a remainder
         values = 10.0 ** np.random.default_rng(4).uniform(-8, 18, 20001)
         assert spelled(values) == ["%.17g" % v for v in values.tolist()]
+
+
+def shortest(values):
+    """Each value as json_floats spells it, from one call over all of them."""
+    return json_floats(np.asarray(values, dtype=float))
+
+
+def as_json(values):
+    """The json module's spelling: float.__repr__, or NaN, Infinity, -Infinity."""
+    return [json.dumps(v) for v in values]
+
+
+# where the shortest spelling changes length, layout or path: the ends of the fast
+# path, of the positional layout (e <= 15) and of the double range
+REPR_EDGES = [
+    *neighbours(1e15), *neighbours(1e-5), *neighbours(2.0**53), float(2**53 - 1), float(2**53 + 1), float(2**53 + 2),
+    1.7976931348623157e308, -1.7976931348623157e308, 9999999999999998.0, 1e16 + 2, 0.1, 0.3, 0.1 + 0.2, 1 / 3, 100.0, 5e-7,
+]
+
+
+class TestShortestRepr:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TestExactG17.magnitudes, min_size=1, max_size=64))
+    @example(EDGES)
+    @example(REPR_EDGES)
+    def test_log_uniform_magnitudes(self, values):
+        assert shortest(values) == as_json(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1).map(bits), min_size=1, max_size=64))
+    def test_raw_bit_patterns(self, values):
+        assert shortest(values) == as_json(values)
+
+    @pytest.mark.parametrize("value", EDGES + REPR_EDGES)
+    def test_edges_alone(self, value):
+        assert shortest([value]) == as_json([value])
+
+    def test_powers_of_two_and_neighbours(self):
+        # below a power of two the doubles are twice as close as above it
+        values = [v for k in range(-1074, 1024) for v in neighbours(math.ldexp(1.0, k))]
+        assert shortest(values) == as_json(values)
+
+    def test_powers_of_ten_and_neighbours(self):
+        values = [v for k in range(-30, 19) for v in neighbours(float(10**k) if k >= 0 else 1 / 10**-k)]
+        assert shortest(values) == as_json(values)
+
+    def test_15_16_and_17_digits(self):
+        # decimals of 15 and 16 digits read to doubles, and the doubles between them
+        rng = np.random.default_rng(5)
+        values = [float(f"{m}e{k}") for digits in (15, 16) for m, k in zip(
+            rng.integers(10 ** (digits - 1), 10**digits, 3000).tolist(), rng.integers(-21, 4, 3000).tolist())]
+        values += [float(np.nextafter(v, math.inf)) for v in values]
+        lengths = {len(text.split("e")[0].replace("-", "").replace(".", "").strip("0")) for text in as_json(values)}
+        assert {15, 16, 17} <= lengths
+        assert shortest(values) == as_json(values)
+
+    def test_exact_decimal_ties(self):
+        # q / 8 for odd q in [2**49, 2**50) lies halfway between two 16-digit decimals, both
+        # of which read back: the even one is taken (70368744177664.125 is 70368744177664.12)
+        values = [(2**49 + q) / 8 for q in range(1, 400, 2)]
+        # integers from 2**54 on lie 2 or more apart: a 16-digit decimal can sit at a
+        # midpoint, which reads back to the double with the even mantissa only
+        values += [2.0**k + 2.0 ** (k - 52) * j for k in (54, 55, 56) for j in range(-300, 300)]
+        assert shortest([70368744177664.125, (2**49 + 3) / 8]) == ["70368744177664.12", "70368744177664.38"]
+        assert shortest([18014398509481992.0, 18014398509481988.0]) == ["1.801439850948199e+16", "1.8014398509481988e+16"]
+        assert shortest(values) == as_json(values)
+
+    def test_decimal_grids(self):
+        values = np.concatenate([np.round(np.arange(-50.0, 50.0, 0.001), 3), np.linspace(-2.0, 6.0, 8001), np.arange(0.0, 1e4, 0.25)])
+        assert shortest(values) == as_json(values.tolist())
+
+    def test_every_block_size(self):
+        # one block, a block and a remainder, whole blocks, and every size near them
+        values = 10.0 ** np.random.default_rng(4).uniform(-8, 18, 2 * _BLOCK + 1)
+        values[::7] = -values[::7]
+        values[::97] = np.nan
+        want = as_json(values.tolist())
+        for size in (0, 1, 7, 8, 9, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1):
+            assert shortest(values[:size]) == want[:size]
 
 
 def test_split_constants_round_up():

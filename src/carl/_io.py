@@ -1,9 +1,11 @@
-"""The one output path of every carl writer, and its float kernel.
+"""The one output path of every carl writer: its row writer and float kernel.
 
-Writers take a path or an open text file. The kernel spells whole arrays of
-floats byte for byte as CPython's ``'%.17g' % x`` (the CSV rows,
-:func:`csv_rows`) and ``float.__repr__`` (the sweep JSON, :func:`json_floats`,
-with the json module's ``NaN``, ``Infinity`` and ``-Infinity``).
+Writers take a path or an open text file. Every table, the CSV files and
+the records of the sweep JSON alike, is made by one row writer,
+:func:`csv_rows`: fields, each followed by fixed text. It has two
+spellings, which its float kernel makes from whole arrays byte for byte as
+CPython does: ``'%.17g' % x`` (CSV) and ``float.__repr__`` with the json
+module's ``NaN``, ``Infinity`` and ``-Infinity`` (JSON).
 
 For a finite ``x`` with ``1e-28 <= |x| < 1e17`` it finds the 17 significant
 digits without dtoa. The decimal exponent ``e`` comes from the float's bits
@@ -49,6 +51,12 @@ of shape ``(_SLOT, values)``), so every numpy operation runs over a whole
 block of values. Both spellings keep to float64, int64 and bool arithmetic
 and one uint8 product: each further numpy loop a process runs adds its
 machine code, 64 kB at a time, to the resident memory.
+
+The row writer lays a block of rows out as one byte array: a head of text,
+then per float field its slot and a gap of one width for the text after
+it. Exact zeros (the growth rate and real parts of every stable row) have
+no digits to find: a zero's slot comes from its sign bit, and only the
+other values go through the kernel.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from typing import IO, Iterator, List, Sequence, Tuple, Union
+from typing import IO, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,6 +92,7 @@ def write_json(doc, path_or_file: PathOrFile) -> None:
 # ---------------------------------------------------------------------------
 
 _SLOT = 28  # sign 1, "0.000" 5, digits and point 18, "e-06" 4
+_SLOT_BYTES = np.dtype((np.void, _SLOT))
 _BLOCK = 1 << 13  # values formatted per block; the temporaries stay under about 2 MB
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for binary64
 # 10**p for p = 0..22, every one exact, and its Veltkamp halves
@@ -286,28 +295,17 @@ def _slots(x: np.ndarray, shortest: bool = False) -> np.ndarray:
     return slots[:, :m]
 
 
-def json_floats(x: np.ndarray) -> List[str]:
-    """Each value of the 1-d float64 ``x`` as the json module spells it: ``float.__repr__``, or NaN, Infinity, -Infinity."""
-    texts: List[str] = []
-    for start in range(0, len(x), _BLOCK):
-        slots = _slots(x[start : start + _BLOCK], shortest=True)
-        cells = np.full((slots.shape[1], _SLOT + 1), 10, np.uint8)  # a newline after each spelling
-        cells[:, :_SLOT] = slots.T
-        texts += cells.tobytes().translate(None, b"\0").decode("ascii").split("\n")[:-1]
-    return texts
-
-
-def _text_cells(values, sep: bytes) -> np.ndarray:
-    """Each ``str(v)`` and ``sep`` as a row of UTF-8 bytes padded with zeros.
+def _text_cells(values, after: bytes, spell) -> np.ndarray:
+    """Each ``spell(v)`` and ``after`` as a row of UTF-8 bytes padded with zeros.
 
     The column is taken in runs of equal values, and each distinct value is
-    encoded once.
+    spelled once.
     """
     values = np.asarray(values)
     starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
     runs = values[starts].tolist()
     index = {v: i for i, v in enumerate(dict.fromkeys(runs))}
-    encoded = [str(v).encode("utf-8") + sep for v in index]
+    encoded = [spell(v).encode("utf-8") + after for v in index]
     table = np.zeros((len(encoded), max(map(len, encoded))), np.uint8)
     for row, text in zip(table, encoded):
         row[: len(text)] = np.frombuffer(text, np.uint8)
@@ -315,33 +313,41 @@ def _text_cells(values, sep: bytes) -> np.ndarray:
     return np.repeat(table[[index[v] for v in runs]], lengths, axis=0)
 
 
-def csv_rows(fields: Sequence, n: int) -> Iterator[str]:
-    """The ``n`` data rows of a CSV table, as a few blocks of text.
+# a zero's slot by spelling ('%.17g', json) and sign bit: "0", "-0", "0.0" and "-0.0"
+_ZERO_SLOTS = np.frombuffer(b"".join(t.ljust(_SLOT, b"\0") for t in (b"0", b"-0", b"0.0", b"-0.0")), _SLOT_BYTES).reshape(2, 2)
+
+
+def csv_rows(fields: Sequence, n: int, after: Optional[Sequence[str]] = None, as_json: bool = False) -> Iterator[str]:
+    """The ``n`` rows of a table, as a few blocks of text.
 
     A field that is a float64 array is spelled as ``'%.17g' % x`` spells each
-    value; a ``str`` is the same in every row; any other column of ``n``
-    values is spelled ``str(v)``, which must contain no NUL. Rows are built in
-    blocks of a few thousand values, so the memory used does not grow with
-    ``n``.
+    value, or with ``as_json`` as ``json.dumps`` does; a ``str`` is the same
+    text in every row; any other column of ``n`` values is spelled ``str(v)``
+    (``json.dumps(v)`` with ``as_json``), which must contain no NUL. Each
+    field is followed by its text in ``after``, by default a comma and, after
+    the last, a newline. Rows are built in blocks of a few thousand values,
+    so the memory used does not grow with ``n``.
     """
     if n == 0:
         return
     is_float = [isinstance(f, np.ndarray) and f.dtype == np.float64 for f in fields]
     floats = [f for f, flag in zip(fields, is_float) if flag]
     if not floats:
-        raise ValueError("a CSV table needs at least one float64 column")
+        raise ValueError("a table needs at least one float64 column")
+    after = [","] * (len(fields) - 1) + ["\n"] if after is None else after
+    spell = json.dumps if as_json else str
     rows = max(1, _BLOCK // len(floats))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         # a row is a head (the text before the first float), then per float a
-        # slot and a gap of one width (its separator and the text after it)
+        # slot and a gap of one width (the text after it and the fields up to the next float)
         cells: List[List[np.ndarray]] = [[]]
-        for i, (f, flag) in enumerate(zip(fields, is_float)):
-            sep = b"\n" if i == len(fields) - 1 else b","
+        for f, flag, text in zip(fields, is_float, after):
+            sep = text.encode("utf-8")
             if flag:
                 cells.append([np.frombuffer(sep, np.uint8)[None]])
             else:
-                cells[-1].append(_text_cells([f] if isinstance(f, str) else f[start:stop], sep))
+                cells[-1].append(_text_cells([f], sep, str) if isinstance(f, str) else _text_cells(f[start:stop], sep, spell))
         head = sum(c.shape[1] for c in cells[0])
         pitch = _SLOT + max(sum(c.shape[1] for c in gap) for gap in cells[1:])
         block = np.zeros((stop - start, head + len(floats) * pitch), np.uint8)
@@ -350,7 +356,10 @@ def csv_rows(fields: Sequence, n: int) -> Iterator[str]:
             for c in gap:
                 block[:, at : at + c.shape[1]] = c
                 at += c.shape[1]
-        values = np.stack([f[start:stop] for f in floats]).ravel()
-        slots = block[:, head:].reshape(stop - start, len(floats), pitch)[:, :, :_SLOT]
-        slots[...] = _slots(values).reshape(_SLOT, len(floats), stop - start).transpose(2, 1, 0)
+        # zeros by their sign bits, the others by the kernel, into the slots as whole elements
+        values = np.stack([f[start:stop] for f in floats])
+        zero = values == 0.0
+        slots = np.ndarray(values.shape, _SLOT_BYTES, block, head, (pitch, block.shape[1]))
+        slots[zero] = _ZERO_SLOTS[int(as_json)][np.signbit(values[zero]).view(np.uint8)]
+        slots[~zero] = np.ascontiguousarray(_slots(values[~zero], as_json).T).view(_SLOT_BYTES).ravel()
         yield block.tobytes().translate(None, b"\0").decode("utf-8")

@@ -536,6 +536,8 @@ def emit_plot_script(
                 f"  {_quoted(path)} using 2:(strcol(3) eq '{regime}' ? column(4) : NaN) "
                 f"with lines lw 2{dash} title {_quoted(f'{regime} {label}')}"
             )
+    if not plot_clauses:  # a plot command with no clause is a gnuplot error
+        raise ConfigError(f"no RAO or WAO rows to plot in {', '.join(map(repr, result_paths))}")
     lines.append("plot \\")
     lines.append(", \\\n".join(plot_clauses))
     lines.append("pause -1 'press return to close'")

@@ -210,8 +210,7 @@ def _root_pair(d: float, eta: int) -> Tuple[float, float]:
     u = d / 3.0
     b = u * (eta - u * u)
     r = math.sqrt(eta / 27.0) * abs((1.0 - d) * (1.0 + d))
-    # numpy's hypot, not math.hypot: they differ in the last bit on about 1 in
-    # 200 random pairs of similar size (10 062 of 2e6, CPython 3.11, numpy 2.4)
+    # numpy's hypot, not math.hypot: they can differ in the last bit
     half_big = float(np.hypot(b, r)) + abs(b)
     big = 2.0 * half_big
     small = 2.0 * r * (r / half_big) if r > 0.0 else 0.0

@@ -6,12 +6,12 @@ byte-identical CSV/JSON files. Sweep results are columns only: one
 :func:`carl.spectrum.spectrum_arrays` call over every regime and mass ratio
 fills the columns of their :class:`SweepResult` objects.
 
-The CSV writers (sweeps here, trajectories in :mod:`carl.dynamics`) build
-their rows with :func:`carl._io.csv_rows`, which spells every float exactly
-as ``'%.17g' % x`` does but from whole arrays, in blocks of rows. The sweep
-JSON spells its floats as the json module does, from whole arrays too
-(:func:`carl._io.json_floats`), and passes only ``meta`` through
-``json.dumps``.
+Every writer (sweeps here, trajectories in :mod:`carl.dynamics`) builds its
+rows with :func:`carl._io.csv_rows`, which spells every float exactly as
+``'%.17g' % x`` does, or for the sweep JSON as the json module does, but
+from whole arrays, in blocks of rows. A JSON record is a row whose fixed
+text is the record's keys and braces; only ``meta`` goes through
+``json.dumps`` whole.
 
 The threshold map needs no root finding on a grid: the stability boundary is
 the graph of the closed-form critical alpha*beta over delta21 (the
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from carl._io import PathOrFile, csv_rows, json_floats, text_sink
+from carl._io import PathOrFile, csv_rows, text_sink
 from carl._version import __version__
 from carl.dynamics import NonExponentialFitError, TrajectoryState, evolve, fit_growth_rate
 from carl.params import RAO, WAO, ScaledParams
@@ -321,34 +321,31 @@ def validate_sweep(spec: SweepSpec, n_samples: int, *, seed: int = 0) -> Validat
 # ---------------------------------------------------------------------------
 
 _CSV_COLUMNS = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3"
-_TEXT_COLUMNS = ("regime", "case")
+_TEXT_COLUMNS = ("axis_name", "regime", "case")
 # one JSON record as json.dumps(indent=2, sort_keys=True) lays it out inside "records",
-# cut at its values, and the text after each value of a record that another follows
+# cut at its values, and the text after each value, a comma after the record
 _JSON_KEYS = sorted(_CSV_COLUMNS.split(","))
 _JSON_PIECES = ("    {\n" + ",\n".join(f'      "{key}": %s' for key in _JSON_KEYS) + "\n    }").split("%s")
-_JSON_AFTER = _JSON_PIECES[1:-1] + [_JSON_PIECES[-1] + ",\n" + _JSON_PIECES[0]]
-_JSON_ROWS = 512  # records filled and written at a time: 4096 floats spelled in one kernel call
+_JSON_AFTER = _JSON_PIECES[1:-1] + [_JSON_PIECES[-1] + ",\n"]
 
 
-def _named_columns(result: SweepResult) -> Tuple[object, Dict[str, np.ndarray]]:
-    """The axis name, and the other columns of the CSV and JSON writers by name."""
+def _fields(result: SweepResult, keys: Sequence[str], spell) -> List:
+    """The fields of a sweep writer's rows in the order of ``keys``, the axis name spelled by ``spell``."""
     lam = result.lambdas
-    columns = {"axis_value": result.axis, "regime": result.regime, "gamma": result.gamma, "case": result.case}
+    columns = {"axis_name": spell(result.meta.get("spec", {}).get("axis", "axis")), "axis_value": result.axis}
+    columns.update(regime=result.regime, gamma=result.gamma, case=result.case)
     for j in range(3):
         columns[f"re_l{j + 1}"], columns[f"im_l{j + 1}"] = lam[:, j].real, lam[:, j].imag
-    return result.meta.get("spec", {}).get("axis", "axis"), columns
+    return [columns[key] if key in _TEXT_COLUMNS else np.asarray(columns[key], dtype=float) for key in keys]
 
 
 def write_sweep_csv(result: SweepResult, path_or_file: PathOrFile) -> None:
     """Tabulate a sweep as CSV with ``#`` metadata lines and a header row."""
-    axis_name, columns = _named_columns(result)
-    fields = [str(axis_name)]
-    fields += [columns[key] if key in _TEXT_COLUMNS else np.asarray(columns[key], dtype=float) for key in _CSV_COLUMNS.split(",")[1:]]
     with text_sink(path_or_file) as f:
         for key in sorted(result.meta):
             f.write(f"# {key}: {json.dumps(result.meta[key], sort_keys=True)}\n")
         f.write(_CSV_COLUMNS + "\n")
-        f.writelines(csv_rows(fields, len(result.axis)))
+        f.writelines(csv_rows(_fields(result, _CSV_COLUMNS.split(","), str), len(result.axis)))
 
 
 def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
@@ -356,36 +353,23 @@ def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
 
     The document is byte for byte ``json.dumps({"meta": ..., "records": [...]},
     indent=2, sort_keys=True)`` plus a newline, each record an object keyed by
-    the CSV header. Only ``meta`` goes through ``json.dumps``. The records are
-    written in blocks of ``_JSON_ROWS`` rows, so the memory used does not grow
-    with the rows; the floats of a block are spelled in one kernel call, each
-    distinct string once, and joined with the fixed text of the records.
+    the CSV header. Only ``meta`` goes through ``json.dumps`` whole. The
+    records are rows of :func:`carl._io.csv_rows` with its json spelling, the
+    fixed text of a record after each value, so they are written in blocks as
+    the CSV rows are.
     """
-    axis_name, columns = _named_columns(result)
-    floats = [key for key in columns if key not in _TEXT_COLUMNS]
-    n, width = len(result.axis), 2 * len(_JSON_KEYS)
+    n = len(result.axis)
     # the meta object with its closing "\n}" cut off; "records" sorts after "meta"
     head = json.dumps({"meta": result.meta}, indent=2, sort_keys=True)[:-2]
+    # each row opens its record, which the axis name's text leads
+    fields = _fields(result, _JSON_KEYS, lambda name: _JSON_PIECES[0] + json.dumps(name))
     with text_sink(path_or_file) as f:
-        f.write(f'{head},\n  "records": [' + ("\n" + _JSON_PIECES[0] if n else ""))
-        for start in range(0, n, _JSON_ROWS):
-            rows = min(n - start, _JSON_ROWS)
-            texts = json_floats(np.stack([np.asarray(columns[key][start : start + rows], dtype=float) for key in floats]).ravel())
-            values = {key: texts[i * rows : (i + 1) * rows] for i, key in enumerate(floats)}
-            for key in _TEXT_COLUMNS:  # each distinct string encoded once
-                text = columns[key][start : start + rows].tolist()
-                values[key] = list(map({v: json.dumps(v) for v in set(text)}.__getitem__, text))
-            values["axis_name"] = [json.dumps(axis_name)] * rows
-            # each record's values, each followed by the text after it
-            items = [""] * (width * rows)
-            for k, (key, after) in enumerate(zip(_JSON_KEYS, _JSON_AFTER)):
-                items[2 * k :: width] = values[key]
-                items[2 * k + 1 :: width] = [after] * rows
-            if start + rows == n:
-                items[-1] = _JSON_PIECES[-1]
-            f.write("".join(items))
-        f.write(("\n  ]" if n else "]") + "\n}\n")
-
+        f.write(f'{head},\n  "records": [' + ("\n" if n else ""))
+        text = ""
+        for block in csv_rows(fields, n, _JSON_AFTER, as_json=True):
+            f.write(text)
+            text = block
+        f.write(text[:-2] + ("\n  ]" if n else "]") + "\n}\n")  # the last record is followed by no comma
 
 def write_polylines_csv(
     polylines: Sequence[np.ndarray],

@@ -707,6 +707,18 @@ class TestPlotScript:
         assert info["rows"] == 10**5 and info["regimes"] == ["RAO", "WAO"]
         assert peak <= 1e6
 
+    @pytest.mark.parametrize("regime", ["rao", " RAO ", "wao"])
+    def test_no_plottable_rows_is_error(self, capsys, tmp_path, regime):
+        # regimes are matched exactly: no file has a row to plot, so there is no script
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            path.write_text(f"{self.HEADER}\n{self.ROW.format(regime)}\n")
+        script = tmp_path / "x.gp"
+        code, _, err = run_cli(capsys, "plot-script", *map(str, paths), "-o", str(script))
+        assert code == 1
+        assert "no RAO or WAO rows to plot" in err and all(repr(str(p)) in err for p in paths)
+        assert not script.exists()
+
     def test_empty_result_file_is_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3\n")

@@ -1,4 +1,4 @@
-"""The float kernel: exact '%.17g' and float.__repr__ over whole arrays, and the CSV writers built on it."""
+"""The float kernel: exact '%.17g' and float.__repr__ over whole arrays, the row writer and the writers built on it."""
 
 import io
 import json
@@ -28,7 +28,7 @@ from carl import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from carl._io import _BLOCK, csv_rows, json_floats
+from carl._io import _BLOCK, csv_rows
 
 
 def spelled(values):
@@ -104,8 +104,9 @@ class TestExactG17:
 
 
 def shortest(values):
-    """Each value as json_floats spells it, from one call over all of them."""
-    return json_floats(np.asarray(values, dtype=float))
+    """Each value as the row writer spells it as JSON, from one call over all of them."""
+    x = np.asarray(values, dtype=float)
+    return "".join(csv_rows([x], len(x), as_json=True)).split("\n")[:-1]
 
 
 def as_json(values):
@@ -180,6 +181,68 @@ class TestShortestRepr:
         want = as_json(values.tolist())
         for size in (0, 1, 7, 8, 9, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1):
             assert shortest(values[:size]) == want[:size]
+
+
+# ±0.0 one draw in two: the row writer lays a zero out from its sign bit and
+# spells only the other values of its block with the kernel
+def with_zeros(values):
+    return st.lists(st.one_of(values, st.sampled_from([0.0, -0.0])), min_size=1, max_size=64)
+
+
+class TestZeros:
+    @settings(max_examples=300, deadline=None)
+    @given(with_zeros(TestExactG17.magnitudes))
+    @example([0.0, 1.5, -0.0, 5e-324, math.nan, -1e-7, 0.0, 0.0, 1e300])
+    def test_log_uniform_magnitudes(self, values):
+        assert spelled(values) == ["%.17g" % v for v in values]
+        assert shortest(values) == as_json(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(with_zeros(st.integers(0, 2**64 - 1).map(bits)))
+    def test_raw_bit_patterns(self, values):
+        assert spelled(values) == ["%.17g" % v for v in values]
+        assert shortest(values) == as_json(values)
+
+    @pytest.mark.parametrize("zeros", [0, 1, 2, _BLOCK // 3, _BLOCK // 2, _BLOCK - 1, _BLOCK])
+    def test_zero_counts_in_one_block(self, zeros):
+        values = 10.0 ** np.random.default_rng(6).uniform(-8, 18, _BLOCK)
+        values[np.random.default_rng(7).permutation(_BLOCK)[:zeros]] = -0.0
+        values[::3] = -values[::3]
+        assert spelled(values) == ["%.17g" % v for v in values.tolist()]
+        assert shortest(values) == as_json(values.tolist())
+
+    @staticmethod
+    def table(columns, as_json):
+        """The rows of ``csv_rows`` over three float columns and a text column, and the same rows spelled value by value."""
+        spell = json.dumps if as_json else lambda v: "%.17g" % v
+        after = [": ", ", ", ", ", " | ", ";\n"] if as_json else [","] * 4 + ["\n"]
+        names = ["a", 'b"é'] * (len(columns[0]) // 2)
+        got = "".join(csv_rows(["row", *columns, names], len(names), after if as_json else None, as_json))
+        want = "".join(
+            "".join(text + sep for text, sep in zip(["row", *map(spell, row), json.dumps(name) if as_json else name], after))
+            for name, row in zip(names, zip(*(c.tolist() for c in columns)))
+        )
+        return got, want
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["g17", "json"])
+    def test_rows_all_zeros_and_no_zeros(self, as_json):
+        n = 3000  # three floats a row: one block and part of another
+        signs = np.where(np.arange(n) % 3 == 0, -0.0, 0.0)
+        dense = np.linspace(-4.0, 4.0, n) + 1e-3
+        for columns in ([signs, -signs, signs], [dense, dense * 1e-7, dense * 1e20]):
+            got, want = self.table(columns, as_json)
+            assert got == want
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["g17", "json"])
+    @pytest.mark.parametrize("zeros_first", [True, False])
+    def test_zeros_on_one_side_of_a_block_edge(self, as_json, zeros_first):
+        rows = _BLOCK // 3  # the rows of one block of three floats
+        n = 2 * rows + 8
+        x = 10.0 ** np.random.default_rng(8).uniform(-8, 18, n)
+        side = np.arange(n) < rows if zeros_first else np.arange(n) >= rows
+        columns = [np.where(side, z, x * k) for k, z in ((1.0, 0.0), (-3.0, -0.0), (0.5, 0.0))]
+        got, want = self.table(columns, as_json)
+        assert got == want
 
 
 def test_split_constants_round_up():

@@ -437,6 +437,25 @@ class TestSerialization:
         assert buf.getvalue() == self.reference_json(result)
         assert "NaN" in buf.getvalue() and "-Infinity" in buf.getvalue()
 
+    def test_json_axis_name_with_escapes(self):
+        result = gain_curve(SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=41, fixed=1.7))
+        result.meta["spec"]["axis"] = 'x"\\é'  # a quote, a backslash and a letter outside ASCII
+        buf = io.StringIO()
+        write_sweep_json(result, buf)
+        assert buf.getvalue() == self.reference_json(result)
+        assert r'"axis_name": "x\"\\\u00e9"' in buf.getvalue()
+
+    def test_json_bytes_all_floats_zero(self):
+        # every row stable (case I) at gamma 0 with roots 0, the signs of zero mixed
+        n = 1500
+        zeros = np.where(np.arange(n) % 5 == 0, -0.0, 0.0)
+        lambdas = (zeros + 1j * zeros[::-1])[:, None] * np.array([1.0, -1.0, 1.0])
+        result = SweepResult(zeros, np.repeat(["RAO", "WAO"], n // 2), -zeros, np.full(n, "I"), lambdas, np.zeros(n, bool), {"spec": {"axis": "delta21"}})
+        buf = io.StringIO()
+        write_sweep_json(result, buf)
+        assert buf.getvalue() == self.reference_json(result)
+        assert '"gamma": -0.0' in buf.getvalue() and '"im_l2": 0.0' in buf.getvalue()
+
     def test_json_memory_stays_bounded(self, tmp_path):
         n = 50_000  # 10**5 rows, both regimes
         result = gain_curve(SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=n, fixed=1.0))

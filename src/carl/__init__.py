@@ -29,15 +29,7 @@ from carl.params import (
     recoil_frequency,
     to_scaled,
 )
-from carl.cubic import (
-    Classification,
-    CubicRoots,
-    RealCubic,
-    RootNature,
-    classify,
-    companion_roots,
-    solve_cubic,
-)
+from carl.cubic import CubicArrays, companion_roots, solve_cubics
 from carl.spectrum import (
     Spectrum,
     SpectrumCase,
@@ -84,12 +76,8 @@ __all__ = [
     "recoil_frequency",
     "coupling_g",
     "to_scaled",
-    "RealCubic",
-    "CubicRoots",
-    "RootNature",
-    "Classification",
-    "solve_cubic",
-    "classify",
+    "CubicArrays",
+    "solve_cubics",
     "companion_roots",
     "Spectrum",
     "SpectrumCase",

@@ -623,6 +623,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags of the option tables, each of which takes one value
+_VALUE_FLAGS = frozenset(f for o in POINT + tuple(o for m in MODES.values() for o in m.options) for f in o.flags)
+
+
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     """Parse a command line, building only the parser of the subcommand it names.
 
@@ -630,8 +634,22 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     parser's subparser would parse them, so their help and their errors read
     the same. A command line that does not start with a subcommand, or leaves
     arguments over, goes to the full parser, whose top-level help, version
-    and "unrecognized arguments" message it then gets.
+    and "unrecognized arguments" message it then gets. A negative number
+    after a flag of the tables is passed as ``--flag=value``: argparse alone
+    reads ``-2e-1``, ``-1e-320`` or ``-inf`` there as a flag.
     """
+    joined: List[str] = []
+    for token in argv:
+        if joined and joined[-1] in _VALUE_FLAGS and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    argv = joined
     if argv and argv[0] in _COMMANDS:
         parser = argparse.ArgumentParser(prog=f"carl {argv[0]}")
         _add_arguments(parser, argv[0])

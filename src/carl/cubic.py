@@ -7,31 +7,19 @@ into one with real coefficients, so only the real case is needed.
 :func:`solve_cubics` is the one solver: it takes whole arrays of monic
 coefficients and runs every branch (trigonometric, Cardano, repeated roots,
 Newton polish, power-of-two rescaling, dominant-root deflation) by mask,
-per element. :func:`solve_cubic` and :func:`classify` are its one-element
-calls. :func:`companion_roots` (eigenvalues of the companion matrix) shares
-none of it and is the oracle the test suite checks it against.
+per element, into a :class:`CubicArrays`; one cubic is an array of one row.
+:func:`companion_roots` (eigenvalues of the companion matrix) shares none
+of it and is the oracle the test suite checks it against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
-__all__ = [
-    "RealCubic",
-    "RootNature",
-    "CubicRoots",
-    "Classification",
-    "CubicArrays",
-    "solve_cubics",
-    "solve_cubic",
-    "classify",
-    "companion_roots",
-]
+__all__ = ["CubicArrays", "solve_cubics", "companion_roots"]
 
 #: Tolerance band on the normalized discriminant inside which the
 #: three-real/one-pair distinction is not numerically meaningful.
@@ -50,74 +38,20 @@ _NORMAL_MIN = 2.0**-1022  # the smallest normal float
 _SPREAD = 2.0**20
 
 
-class RootNature(Enum):
-    """Root structure of a real cubic."""
-
-    THREE_REAL = "three_real"
-    ONE_REAL_ONE_PAIR = "one_real_one_pair"
-
-
-@dataclass(frozen=True)
-class RealCubic:
-    """Polynomial c3*x^3 + c2*x^2 + c1*x + c0 with real coefficients, c3 != 0."""
-
-    c3: float
-    c2: float
-    c1: float
-    c0: float
-
-    def __post_init__(self):
-        for name in ("c3", "c2", "c1", "c0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"coefficient {name} must be finite, got {getattr(self, name)!r}")
-        if self.c3 == 0.0:
-            raise ValueError("c3 must be nonzero (degree exactly 3)")
-
-    def monic(self) -> Tuple[float, float, float]:
-        """Coefficients (b, c, d) of the monic form x^3 + b x^2 + c x + d."""
-        return self.c2 / self.c3, self.c1 / self.c3, self.c0 / self.c3
-
-
-@dataclass(frozen=True)
-class CubicRoots:
-    """All three roots plus structure metadata.
-
-    ``discriminant`` is the discriminant of the caller's monic polynomial
-    (positive: three distinct real roots, negative: one real root and a
-    conjugate pair, zero: repeated root). When the roots are far from order 1
-    its magnitude can leave the float range; it then saturates to +-0 or
-    +-inf with its sign kept. ``nature`` reflects the exact sign of that
-    discriminant, with one exception: a pair whose imaginary part is exactly
-    0 after Newton polishing (a double real root that rounding placed just
-    inside the pair region) is reported as THREE_REAL, since it holds no
-    complex root. Use :func:`classify` for the tolerance-banded tag; it
-    reports the same band as THREE_REAL with ``boundary=True``.
-
-    Ordering convention: three real roots ascending; otherwise the real root
-    first, then the pair with positive imaginary part before its conjugate.
-    """
-
-    roots: Tuple[complex, complex, complex]
-    nature: RootNature
-    discriminant: float
-
-
-class Classification(NamedTuple):
-    """Tolerance-aware root-structure tag (see :func:`classify`)."""
-
-    nature: RootNature
-    boundary: bool
-    discriminant: float  # normalized, scale-free
-
-
 class CubicArrays(NamedTuple):
     """Per-row results of :func:`solve_cubics`, in input order.
 
-    ``roots`` is (n, 3) complex, in the ordering of :class:`CubicRoots`, and
-    ``three_real`` its nature. ``discriminant`` is that of the caller's
-    monic polynomial, as in :class:`CubicRoots`. ``normalized`` is the
-    scale-free discriminant :func:`classify` reports, and ``boundary`` is
-    ``|normalized| <= tol``.
+    ``roots`` is (n, 3) complex: three real roots ascending, or the real
+    root, then the pair member with positive imaginary part, then its
+    conjugate. ``three_real`` follows the exact sign of ``discriminant``,
+    except that a pair which polishing takes to imaginary part exactly 0 (a
+    double real root that rounding placed just inside the pair region)
+    counts as three real roots. ``discriminant`` is that of the caller's
+    monic polynomial: positive for three distinct real roots, negative for
+    a real root and a pair, zero for a repeated root; far from roots of
+    order 1 it saturates to +-0 or +-inf with its sign kept. ``normalized``
+    is the scale-free discriminant and ``boundary`` is
+    ``|normalized| <= DEFAULT_BOUNDARY_TOL``.
     """
 
     roots: np.ndarray
@@ -188,7 +122,7 @@ def _repeated(p, q, shift, b, c, d):
     return np.stack((single, double, double)), 0.0
 
 
-def solve_cubics(b, c, d, tol: float = DEFAULT_BOUNDARY_TOL) -> CubicArrays:
+def solve_cubics(b, c, d) -> CubicArrays:
     """All three roots of ``x^3 + b x^2 + c x + d``, over arrays of monic coefficients.
 
     Every step is taken per element, by mask. Three distinct real roots come
@@ -196,8 +130,7 @@ def solve_cubics(b, c, d, tol: float = DEFAULT_BOUNDARY_TOL) -> CubicArrays:
     Cardano with cancellation-safe radicals, both Newton-polished; a zero
     discriminant is a triple root (``p == 0``) or a double root. The pair is
     symmetrized exactly (the second member is the mirror of the polished
-    first), so sign tests on real parts are reliable; a pair that polishing
-    lands on the real axis is a double real root (THREE_REAL).
+    first), so sign tests on real parts are reliable.
 
     Rows whose largest monic coefficient is outside [2^-128, 2^128] are
     solved for ``y = x / 2**k`` (Blinn, "How to Solve a Cubic Equation",
@@ -216,12 +149,8 @@ def solve_cubics(b, c, d, tol: float = DEFAULT_BOUNDARY_TOL) -> CubicArrays:
 
     The boundary flag is scale-free: the rescaled discriminant is divided by
     ``max(|p|^3, q^2, (b^2/3)^3)``, the sixth power of the root scale, or,
-    after deflation, the quadratic's ``h^2 - s0`` (``h = -s1/2``) by
-    ``h^2 + |s0|``. Inside ``|normalized| <= tol`` a repeated real root and a
-    barely split pair are indistinguishable.
+    after deflation, the quadratic's ``h^2 - s0`` (``h = -s1/2``) by ``h^2 + |s0|``.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     b0, c0, d0 = (np.ravel(v) for v in np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (b, c, d))))
     with np.errstate(all="ignore"):  # saturation to +-0 or +-inf is intended
         m = np.maximum(np.maximum(abs(b0), abs(c0)), abs(d0))
@@ -296,47 +225,24 @@ def solve_cubics(b, c, d, tol: float = DEFAULT_BOUNDARY_TOL) -> CubicArrays:
     roots.real = np.where(pair, x, np.sort(x, axis=0, kind="stable")).T
     roots.imag[:, 1] = y
     roots.imag[:, 2] = np.where(pair, -y, 0.0)
-    return CubicArrays(roots, ~pair, disc, normalized, abs(normalized) <= tol)
+    return CubicArrays(roots, ~pair, disc, normalized, abs(normalized) <= DEFAULT_BOUNDARY_TOL)
 
 
-def solve_cubic(cubic: RealCubic) -> CubicRoots:
-    """All three roots of one real cubic: :func:`solve_cubics` on its monic form."""
-    solved = solve_cubics(*cubic.monic())
-    nature = RootNature.THREE_REAL if solved.three_real[0] else RootNature.ONE_REAL_ONE_PAIR
-    return CubicRoots(roots=tuple(solved.roots[0].tolist()), nature=nature, discriminant=float(solved.discriminant[0]))
+def companion_roots(b: float, c: float, d: float) -> Tuple[Tuple[complex, complex, complex], float]:
+    """Roots of ``x^3 + b x^2 + c x + d`` from the companion matrix, and its discriminant.
 
-
-def classify(cubic: RealCubic, tol: float = DEFAULT_BOUNDARY_TOL) -> Classification:
-    """Scale-free root-structure tag with a tolerance band at the boundary.
-
-    The tag is that of the normalized discriminant of :func:`solve_cubics`,
-    which depends on neither the coefficient scale nor the root scale.
-    Inside the band ``|disc| <= tol`` it is reported as THREE_REAL with
-    ``boundary=True`` (a repeated real root and a barely split conjugate
-    pair are indistinguishable there).
+    The cross-check oracle, independent of :func:`solve_cubics`: no closed
+    forms, no polishing, no conjugate symmetrization. The eigenvalues come
+    sorted by real, then imaginary part; those of three real roots may
+    therefore carry tiny spurious imaginary parts. The discriminant is the
+    product of the squared root differences, formed at a power-of-two root
+    scale and scaled back.
     """
-    disc_hat = float(solve_cubics(*cubic.monic(), tol=tol).normalized[0])
-    nature = RootNature.THREE_REAL if disc_hat >= -tol else RootNature.ONE_REAL_ONE_PAIR
-    return Classification(nature=nature, boundary=abs(disc_hat) <= tol, discriminant=disc_hat)
-
-
-def companion_roots(cubic: RealCubic) -> CubicRoots:
-    """Roots via eigenvalues of the companion matrix (cross-check oracle).
-
-    Independent of :func:`solve_cubics`: no closed forms, no polishing, no
-    conjugate symmetrization. Eigenvalues of a THREE_REAL case may therefore
-    carry tiny spurious imaginary parts; keep that in mind when comparing.
-    The discriminant is the product of the squared root differences, formed
-    at a power-of-two root scale and scaled back, and sets the nature.
-    """
-    b, c, d = cubic.monic()
     comp = np.array([[0.0, 0.0, -d], [1.0, 0.0, -c], [0.0, 1.0, -b]])
     eigs = sorted(np.linalg.eigvals(comp), key=lambda z: (z.real, z.imag))
     k = math.frexp(max(abs(z) for z in eigs))[1]
     r1, r2, r3 = (complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in eigs)
     disc = (((r1 - r2) * (r1 - r3) * (r2 - r3)) ** 2).real
-    nature = RootNature.THREE_REAL if disc >= 0.0 else RootNature.ONE_REAL_ONE_PAIR
     with np.errstate(over="ignore"):
         disc = float(np.ldexp(disc, 6 * k))
-    return CubicRoots(roots=tuple(complex(z) for z in eigs), nature=nature, discriminant=disc)
-
+    return tuple(complex(z) for z in eigs), disc

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,6 +77,8 @@ class SweepSpec:
             raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.start < self.stop:
             raise ValueError(f"start ({self.start}) must be < stop ({self.stop})")
+        if not all(map(math.isfinite, (self.stop - self.start, self.fixed))):
+            raise ValueError(f"start ({self.start}), stop ({self.stop}), stop - start and fixed ({self.fixed}) must be finite")
         if self.num_points < 2:
             raise ValueError(f"num_points must be >= 2, got {self.num_points}")
         if not self.regimes or any(r not in REGIMES for r in self.regimes):
@@ -154,13 +157,18 @@ def mass_study(
     if not mass_ratios or any(not (math.isfinite(s) and s > 0) for s in mass_ratios):
         raise ValueError(f"mass_ratios must be positive and finite, got {mass_ratios!r}")
     spec = SweepSpec("delta21", *delta21_range, num_points, alpha_beta_base, regimes)
+    fixed = [alpha_beta_base * r * r for r in mass_ratios]
+    for s, ab in zip(mass_ratios, fixed):
+        if not all(map(math.isfinite, (s * spec.start, s * spec.stop, ab))):
+            raise ValueError(f"mass ratio {s!r} takes the control point (s*delta21, alpha_beta_base*s**2) past the float "
+                             f"range at alpha_beta_base = {alpha_beta_base!r}, delta21 in [{spec.start!r}, {spec.stop!r}]: "
+                             f"both must stay within {sys.float_info.max!r} in magnitude")
 
     results: List[SweepResult] = []
     grid = spec.grid()
     blocks = [r for r in REGIMES if r in regimes]
     # one call over the regime blocks of every ratio, ratio and ab holding each row's values
     rows = len(blocks) * num_points
-    fixed = [alpha_beta_base * r * r for r in mass_ratios]
     ratio, ab = (np.repeat(np.array(v, dtype=float), rows) for v in (mass_ratios, fixed))
     etas = np.tile(np.repeat([_REGIME_ETA[r] for r in blocks], num_points), len(mass_ratios))
     lambdas, gamma, case, boundary = spectrum_arrays(ratio * np.tile(grid, len(ratio) // num_points), ab, etas)

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -444,6 +445,33 @@ class TestBadOptionValues:
         assert f"{where} must be a JSON object" in err
 
 
+class TestNegativeValues:
+    """A negative value after a flag parses as its ``--flag=value`` form does, exponent notation and -inf included."""
+
+    @pytest.mark.parametrize("value", ["-2e-1", "-1e-320", "-inf"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("spectrum --delta21 {} --alpha-beta 1 -o s.json", "--delta21"),
+            ("curve --axis delta21 --from {} --to 3 --points 5 --alpha-beta 1 -o c.csv", "--from"),
+            (THRESHOLD_ARGV.replace("--alpha-beta-from 0.01", "--alpha-beta-from {}"), "--alpha-beta-from"),
+        ],
+        ids=["spectrum", "curve", "threshold"],
+    )
+    def test_plain_and_equals_forms_agree(self, capsys, tmp_path, monkeypatch, argv, flag, value):
+        runs = []
+        for k, words in enumerate((argv.format(value), argv.replace(f"{flag} {{}}", f"{flag}={value}"))):
+            (tmp_path / str(k)).mkdir()
+            monkeypatch.chdir(tmp_path / str(k))
+            code, out, err = run_cli(capsys, *words.split())
+            runs.append((code, out, {p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()}))
+        assert runs[0] == runs[1]
+        if value == "-inf":
+            assert runs[0][0] == 1 and "must be finite" in err
+        else:
+            assert runs[0][0] == 0 and runs[0][2]
+
+
 class TestPhysicalBlock:
     def test_physical_file_flag(self, capsys, tmp_path):
         blob = tmp_path / "phys.json"
@@ -564,6 +592,17 @@ class TestMassStudyMode:
             assert path.exists()
             data = [l for l in path.read_text().splitlines() if not l.startswith("#")]
             assert len(data) == 1 + 51 * 2
+
+
+    def test_ratio_past_the_float_range_is_named(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *"mass-study --alpha-beta-base 1 --ratios 1,1e200 -o ms".split())
+        assert code == 1
+        assert err == (
+            "error: mass ratio 1e+200 takes the control point (s*delta21, alpha_beta_base*s**2) past the float range "
+            f"at alpha_beta_base = 1.0, delta21 in [-2.0, 6.0]: both must stay within {sys.float_info.max!r} in magnitude\n"
+        )
+        assert out == "" and not any(tmp_path.iterdir())
 
 
 class TestValidateMode:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -46,6 +47,17 @@ class TestSweepSpec:
             SweepSpec(axis="delta21", start=0.0, stop=1.0, num_points=10, fixed=1.0, regimes=("XAO",))
         with pytest.raises(ValueError):
             SweepSpec(axis="delta21", start=0.0, stop=1.0, num_points=10, fixed=-1.0)
+
+    @pytest.mark.parametrize(
+        "axis, start, stop, fixed",
+        [("delta21", -math.inf, 1.0, 1.0), ("delta21", 0.0, math.inf, 1.0), ("delta21", -1e308, 1e308, 1.0),
+         ("delta21", 0.0, 1.0, math.inf), ("alpha_beta", 0.0, 1.0, -math.inf)],
+    )
+    def test_rejects_values_past_the_float_range(self, axis, start, stop, fixed):
+        # np.linspace would fill the grid with NaN, and a mass study would scale an infinite base
+        message = f"start ({start}), stop ({stop}), stop - start and fixed ({fixed}) must be finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepSpec(axis=axis, start=start, stop=stop, num_points=10, fixed=fixed)
 
     def test_point_construction(self):
         spec = SweepSpec(axis="delta21", start=-2.0, stop=6.0, num_points=5, fixed=1.5)
@@ -171,6 +183,18 @@ class TestMassStudy:
     def test_rejects_unknown_regimes(self):
         with pytest.raises(ValueError, match="regimes"):
             mass_study(1.0, [1.0], regimes=("XAO",))
+
+    @pytest.mark.parametrize(
+        "base, ratio, d_range",
+        [(1.0, 1e200, (-2.0, 6.0)), (0.0, 1e308, (-1.0, 6.0)), (1e-300, 1e300, (-1e10, 1.0))],
+        ids=["alpha_beta", "delta21-stop", "delta21-start"],
+    )
+    def test_rejects_ratio_past_the_float_range(self, base, ratio, d_range):
+        # (s*delta21, alpha_beta_base*s**2) overflows at ratio s; the error names s, the base and the limit
+        message = f"mass ratio {ratio!r} takes the control point (s*delta21, alpha_beta_base*s**2) past the float range " \
+            f"at alpha_beta_base = {base!r}, delta21 in [{d_range[0]!r}, {d_range[1]!r}]: both must stay within {sys.float_info.max!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mass_study(base, [1.0, ratio], delta21_range=d_range, num_points=5)
 
 
 def same_bytes(got, want):

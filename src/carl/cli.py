@@ -36,7 +36,7 @@ from carl._io import text_sink, write_json
 from carl._version import __version__
 from carl.dynamics import NonFiniteStateError, StepSizeRejection, TrajectoryState, evolve, write_trajectory_csv
 from carl.params import PhysicalParams, ScaledParams, to_scaled
-from carl.spectrum import _ALPHA_BETA_MAX, _ALPHA_BETA_MIN, _DELTA21_MAX, eigen_spectrum
+from carl.spectrum import _ALPHA_BETA_MAX, _ALPHA_BETA_MIN, _DELTA21_MAX, spectrum_arrays
 from carl.sweep import (
     _CSV_COLUMNS,
     SweepSpec,
@@ -153,8 +153,9 @@ def _resolve(rows: Sequence[Option], given, where: str) -> Dict:
     """The values of ``rows`` from the mapping ``given``, each converted by its type.
 
     A key left out or null gets its row's default. An unknown key, a missing
-    required key, a failed conversion or a value outside the choices is a
-    :class:`ConfigError` naming ``where``, the key and the value.
+    required key, a boolean (alone or in a list: no key takes one, and
+    Python reads ``true`` as 1), a failed conversion or a value outside the
+    choices is a :class:`ConfigError` naming ``where``, the key and the value.
     """
     _check_keys(given, [o.key for o in rows], where)
     missing = [o.key for o in rows if o.default is REQUIRED and given.get(o.key) is None]
@@ -166,6 +167,8 @@ def _resolve(rows: Sequence[Option], given, where: str) -> Dict:
         if raw is None:
             continue
         try:
+            if any(isinstance(v, bool) for v in (raw if isinstance(raw, list) else [raw])):
+                raise ValueError("must not be a boolean")
             values[o.key] = raw if o.type is None else o.type(raw)
             if o.choices and values[o.key] not in o.choices:
                 raise ValueError(f"must be one of {', '.join(map(str, o.choices))}")
@@ -205,7 +208,7 @@ def _parse_ratios(value) -> List[float]:
             return [float(x) for x in value.split(",") if x.strip()]
         except ValueError:
             pass
-    elif isinstance(value, list) and all(isinstance(x, (int, float)) for x in value):
+    elif isinstance(value, list) and all(type(x) in (int, float) for x in value):  # a bool is no ratio
         return value
     raise ValueError(f"ratios must be a comma-separated list of numbers, got {value!r}")
 
@@ -230,18 +233,18 @@ def _write_report(doc: Dict, out: Optional[str]) -> None:
 
 
 def _run_spectrum(params: ScaledParams, options: Dict) -> int:
-    sp = eigen_spectrum(params)
-    print(f"Γ = {sp.gamma:.6g}, Case {sp.case.value}")
+    lambdas, gamma, case, boundary = (v[0].tolist() for v in spectrum_arrays(params.delta21, params.alpha_beta, params.eta))
+    print(f"Γ = {gamma:.6g}, Case {case}")
     doc = {
         "delta21": params.delta21,
         "alpha": params.alpha,
         "beta": params.beta,
         "eta": params.eta,
         "alpha_beta": params.alpha_beta,
-        "gamma": sp.gamma,
-        "case": sp.case.value,
-        "boundary": sp.boundary,
-        "lambdas": [[lam.real, lam.imag] for lam in sp.lambdas],
+        "gamma": gamma,
+        "case": case,
+        "boundary": boundary,
+        "lambdas": [[lam.real, lam.imag] for lam in lambdas],
         "version": __version__,
     }
     _write_report(doc, options["output"])
@@ -467,10 +470,11 @@ def _inspect_result_csv(path: str) -> Dict:
                             meta[key.strip()] = raw.strip()
                 elif header is None:
                     header = line
-                    got = [c.strip() for c in line.split(",")]
-                    missing = [c for c in _CSV_COLUMNS.split(",") if c not in got]
-                    if missing:
-                        raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}")
+                    got, columns = [c.strip() for c in line.split(",")], _CSV_COLUMNS.split(",")
+                    if got != columns:  # the script reads the columns by position
+                        missing = [c for c in columns if c not in got]
+                        raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}" if missing
+                                          else f"{path}: result file columns must be {_CSV_COLUMNS}, got {','.join(got)}")
                 else:
                     n_rows += 1
                     cells = line.split(",", 3)
@@ -612,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``carl`` parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="carl",
+        allow_abbrev=False,
         description="Linear stability and dynamics of the collective atomic-recoil laser. "
         "All numeric flags are in scaled (dimensionless) units unless stated otherwise; "
         "SI input goes through --physical.",
@@ -619,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"carl {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
     for name, help_text in _COMMANDS.items():
-        _add_arguments(subs.add_parser(name, help=help_text), name)
+        _add_arguments(subs.add_parser(name, help=help_text, allow_abbrev=False), name)
     return parser
 
 
@@ -636,7 +641,8 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
     arguments over, goes to the full parser, whose top-level help, version
     and "unrecognized arguments" message it then gets. A negative number
     after a flag of the tables is passed as ``--flag=value``: argparse alone
-    reads ``-2e-1``, ``-1e-320`` or ``-inf`` there as a flag.
+    reads ``-2e-1``, ``-1e-320`` or ``-inf`` there as a flag. No parser takes
+    an abbreviated flag, so every flag is spelled in full, as a config key is.
     """
     joined: List[str] = []
     for token in argv:
@@ -651,7 +657,7 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
         joined.append(token)
     argv = joined
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"carl {argv[0]}")
+        parser = argparse.ArgumentParser(prog=f"carl {argv[0]}", allow_abbrev=False)
         _add_arguments(parser, argv[0])
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:

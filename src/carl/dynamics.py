@@ -32,7 +32,7 @@ import numpy as np
 
 from carl._io import PathOrFile, csv_rows, text_sink
 from carl.params import ScaledParams
-from carl.spectrum import eigen_spectrum
+from carl.spectrum import spectrum_arrays
 
 __all__ = [
     "TrajectoryState",
@@ -366,7 +366,7 @@ def propagator(s: ScaledParams, tau: float) -> np.ndarray:
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
     m = system_matrix(s)
-    lambdas = eigen_spectrum(s).lambdas
+    lambdas = spectrum_arrays(s.delta21, s.alpha_beta, s.eta)[0][0].tolist()
 
     if min(abs(lambdas[i] - lambdas[j]) for i, j in ((0, 1), (0, 2), (1, 2))) < 1e-6:
         return _expm_taylor(tau * m)

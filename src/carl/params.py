@@ -19,6 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = [
+    "HBAR",
+    "C_LIGHT",
+    "EPSILON_0",
+    "RAO",
+    "WAO",
+    "DegenerateDetuningError",
+    "PhysicalParams",
+    "ScaledParams",
+    "recoil_frequency",
+    "coupling_g",
+    "to_scaled",
+]
+
 # CODATA 2018 values, frozen for reproducibility.
 HBAR = 1.054571817e-34  # reduced Planck constant (J s)
 C_LIGHT = 299792458.0  # speed of light (m/s)

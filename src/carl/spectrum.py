@@ -22,19 +22,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from enum import Enum
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from carl.cubic import solve_cubics
-from carl.params import RAO, WAO, ScaledParams
+from carl.params import RAO, WAO
 
 __all__ = [
-    "SpectrumCase",
-    "Spectrum",
-    "eigen_spectrum",
     "spectrum_arrays",
     "gamma_rao_closed_form",
     "threshold_lhs",
@@ -43,40 +38,20 @@ __all__ = [
 ]
 
 
-class SpectrumCase(Enum):
-    """Stability class of the linearized system."""
-
-    STABLE = "I"  # all eigenvalues imaginary: bounded oscillation
-    UNSTABLE = "II"  # one conjugate-broken pair: exponential growth
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Three eigenvalues of the linearized system plus their classification.
-
-    ``gamma`` is the largest real part, clamped to 0 in the stable case.
-    ``boundary`` marks points where the discriminant of the underlying real
-    cubic falls inside the classification tolerance band (a repeated root:
-    the stable/unstable distinction is not numerically meaningful there).
-    """
-
-    lambdas: Tuple[complex, complex, complex]
-    case: SpectrumCase
-    gamma: float
-    boundary: bool
-
-
 def spectrum_arrays(delta21, alpha_beta, eta):
     """Spectra of the linearized system at many control points, as arrays.
 
     ``delta21``, ``alpha_beta`` and ``eta`` are broadcast against each other
-    to n points. Returns ``(lambdas, gamma, case, boundary)``: the (n, 3)
-    eigenvalues, the growth rates, the stability classes ("I" or "II") and
-    the boundary flags of :class:`Spectrum`, from one call of
-    :func:`carl.cubic.solve_cubics` on the real cubics for ``x = -i*lambda``.
-    The inputs are checked as :class:`ScaledParams` checks them: a
-    non-finite value, ``alpha_beta < 0`` or an ``eta`` other than 0 or 1
-    raises ``ValueError`` naming the parameter.
+    to n points. Returns ``(lambdas, gamma, case, boundary)`` from one call of
+    :func:`carl.cubic.solve_cubics` on the real cubics for ``x = -i*lambda``:
+    the (n, 3) eigenvalues, the growth rates (the largest real part: 0 in
+    case I, while in case II the real parts are ``+gamma``, ``-gamma``,
+    exactly opposite by conjugate symmetrization, and 0), the stability
+    classes ("I" or "II") and the boundary flags. A flag marks a discriminant
+    inside the tolerance band of a repeated root, where the class is not
+    numerically meaningful. The inputs are checked as :class:`ScaledParams`
+    checks them: a non-finite value, ``alpha_beta < 0`` or an ``eta`` other
+    than 0 or 1 raises ``ValueError`` naming the parameter.
     """
     arrays = np.broadcast_arrays(np.asarray(delta21, dtype=float), np.asarray(alpha_beta, dtype=float), np.asarray(eta))
     d, ab, eta = (np.ravel(v) for v in arrays)
@@ -94,20 +69,6 @@ def spectrum_arrays(delta21, alpha_beta, eta):
     unstable = ~solved.three_real
     # the pair's -imag member is the eigenvalue with real part +gamma
     return lambdas, np.where(unstable, lambdas[:, 2].real, 0.0), np.where(unstable, "II", "I"), solved.boundary
-
-
-def eigen_spectrum(s: ScaledParams) -> Spectrum:
-    """Spectrum of the linearized probe/bunching system at one control point.
-
-    :func:`spectrum_arrays` with one element. The unstable case yields real
-    parts ``+gamma`` and ``-gamma`` (exactly opposite, by conjugate
-    symmetrization in the cubic solver) plus one purely imaginary
-    eigenvalue.
-    """
-    lambdas, gamma, case, boundary = spectrum_arrays(s.delta21, s.alpha_beta, s.eta)
-    return Spectrum(
-        lambdas=tuple(lambdas[0].tolist()), case=SpectrumCase(case[0]), gamma=float(gamma[0]), boundary=bool(boundary[0])
-    )
 
 
 def _cbrt(x: float) -> float:

@@ -369,6 +369,17 @@ class TestBadOptionValues:
              ["cannot load physical-parameter file 'phys.json': 'utf-8' codec can't decode byte 0xff in position"]),
             (("plot-script curve.csv -o x.gp", "curve.csv", b"axis_name,axis_value,regime\ndelta21,0.5,RAO\n\xff\n"),
              ["cannot read result file 'curve.csv': 'utf-8' codec can't decode byte 0xff in position"]),
+            # no key takes a boolean, which Python would read as 1
+            ({"mode": "spectrum", "scaled": dict(SCALED_WAO, eta=True), "options": {}}, ["'eta' = True in 'scaled' block"]),
+            ({"mode": "spectrum", "physical": dict(PHYSICAL_RB, N=True), "options": {"eta": 1}}, ["'N' = True in 'physical' block"]),
+            ({"mode": "curve", "scaled": SCALED_WAO,
+              "options": {"axis": "delta21", "from": True, "to": 3, "points": 5, "output": "c.csv"}},
+             ["'from' = True in options for mode 'curve'"]),
+            ({"mode": "mass-study", "options": {"alpha_beta_base": 5, "ratios": [True, 10], "output": "ms"}},
+             ["'ratios' = [True, 10] in options for mode 'mass-study'"]),
+            ({"mode": "evolve", "scaled": SCALED_WAO, "options": {"tau_end": 1, "a1_seed": [True, 0], "output": "traj.csv"}},
+             ["'a1_seed' = [True, 0] in options for mode 'evolve'"]),
+            ({"mode": "spectrum", "scaled": SCALED_WAO, "options": {"output": True}}, ["'output' = True in options for mode 'spectrum'"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
              "points-fraction", "eta-fraction", "scaled-eta-fraction", "scaled-delta21-string",
@@ -378,7 +389,8 @@ class TestBadOptionValues:
              "curve-points-1e30", "mass-study-points-1e30", "validate-points-1e30", "threshold-resolution-1e30",
              "evolve-stride-1e30", "evolve-steps-past-2**53",
              "threshold-alpha-beta-to-1e200", "threshold-alpha-beta-from-subnormal", "threshold-delta21-from-1e101",
-             "threshold-alpha-beta-from-nan", "config-not-utf8", "physical-file-not-utf8", "plot-script-result-not-utf8"],
+             "threshold-alpha-beta-from-nan", "config-not-utf8", "physical-file-not-utf8", "plot-script-result-not-utf8",
+             "scaled-eta-bool", "physical-N-bool", "from-bool", "ratios-bool", "a1_seed-bool-pair", "output-bool"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)
@@ -698,6 +710,16 @@ class TestPlotScript:
     HEADER = "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3"
     ROW = "delta21,0.5,{},0.1,II,0,0,0,0,0,0"
 
+    def test_reordered_columns_refused(self, capsys, tmp_path):
+        # the script reads the growth rate by position: a file with gamma and re_l1 swapped would plot re_l1
+        bad = tmp_path / "bad.csv"
+        swap = lambda line: ",".join(line.split(",")[i] for i in (0, 1, 2, 5, 4, 3, 6, 7, 8, 9, 10))
+        bad.write_text(f"{swap(self.HEADER)}\n{swap('delta21,0.5,RAO,0.1,II,0.7,0,0,0,0,0')}\n")
+        code, out, err = run_cli(capsys, "plot-script", str(bad), "-o", str(tmp_path / "x.gp"))
+        assert (code, out) == (1, "")
+        assert "columns must be axis_name,axis_value,regime,gamma," in err
+        assert not (tmp_path / "x.gp").exists()
+
     @pytest.mark.parametrize(
         "text, meta, regimes, rows",
         [
@@ -804,6 +826,9 @@ class TestHelp:
             ["curve", "--axis", "delta21", "--from", "0", "--to", "1", "--points", "5", "-o", "x.csv", "--bogus"],
             ["curve", "--axis", "delta21", "--from", "0", "--to", "1", "--points", "5", "-o", "x.csv", "--version"],
             ["plot-script", "a.csv", "--bogus", "-o", "x.gp"],
+            # no parser takes an abbreviated flag, whatever value follows it
+            ["spectrum", "--delta", "-2e-1", "--alpha-beta", "1"],
+            ["spectrum", "--delta", "-2", "--alpha-beta", "1"],
         ],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )

@@ -1,4 +1,4 @@
-"""Spectrum, growth rate and threshold tests."""
+"""Eigenvalue spectra, growth rates and threshold tests."""
 
 import math
 import re
@@ -14,96 +14,88 @@ from carl import (
     RAO,
     WAO,
     ScaledParams,
-    SpectrumCase,
     critical_alpha_beta,
     critical_delta21,
-    eigen_spectrum,
     gamma_rao_closed_form,
     solve_cubics,
+    spectrum_arrays,
     threshold_lhs,
 )
-from carl.spectrum import _DELTA21_MAX, _alpha_beta_roots, _cbrt, _root_pair, _wao_edges, spectrum_arrays
+from carl.spectrum import _DELTA21_MAX, _alpha_beta_roots, _cbrt, _root_pair, _wao_edges
 
 SQRT3_HALF = 0.86602540378443865  # sqrt(3)/2
 WAO_ZERO_DETUNING_THRESHOLD = 0.38490017945975051  # 2/(3*sqrt(3))
 GAMMA_WAO_AB1 = 0.56227951206230124  # |Im| of the pair of x^3 - x + 1
 
 
-def from_product(d, ab, eta):
-    return ScaledParams.from_product(d, ab, eta)
+def spectrum_at(d, ab, eta):
+    """:func:`spectrum_arrays` at one point, as Python values: (lambdas, gamma, case, boundary)."""
+    return tuple(v[0].tolist() for v in spectrum_arrays(d, ab, eta))
 
 
 class TestEigenSpectrum:
     def test_empty_system_triple_zero(self):
-        sp = eigen_spectrum(from_product(0.0, 0.0, RAO))
-        assert sp.case is SpectrumCase.STABLE
-        assert sp.gamma == 0.0
-        assert sp.lambdas == (0j, 0j, 0j)
-        assert sp.boundary  # triple root sits on the discriminant boundary
+        lambdas, gamma, case, boundary = spectrum_at(0.0, 0.0, RAO)
+        assert case == "I"
+        assert gamma == 0.0
+        assert lambdas == [0j, 0j, 0j]
+        assert boundary  # triple root sits on the discriminant boundary
 
     def test_wao_reference_point(self):
-        sp = eigen_spectrum(from_product(0.0, 1.0, WAO))
-        assert sp.case is SpectrumCase.UNSTABLE
-        assert sp.gamma == pytest.approx(GAMMA_WAO_AB1, abs=1e-12)
+        _, gamma, case, _ = spectrum_at(0.0, 1.0, WAO)
+        assert case == "II"
+        assert gamma == pytest.approx(GAMMA_WAO_AB1, abs=1e-12)
 
     def test_rao_reference_point(self):
-        sp = eigen_spectrum(from_product(0.0, 1.0, RAO))
-        assert sp.gamma == pytest.approx(SQRT3_HALF, abs=1e-12)
+        assert spectrum_at(0.0, 1.0, RAO)[1] == pytest.approx(SQRT3_HALF, abs=1e-12)
 
     def test_stable_case_real_parts_vanish_exactly(self):
-        sp = eigen_spectrum(from_product(3.0, 0.5, RAO))  # below the RAO threshold of 4
-        assert sp.case is SpectrumCase.STABLE
-        assert all(lam.real == 0.0 for lam in sp.lambdas)
-        assert sp.gamma == 0.0
+        lambdas, gamma, case, _ = spectrum_at(3.0, 0.5, RAO)  # below the RAO threshold of 4
+        assert case == "I"
+        assert all(lam.real == 0.0 for lam in lambdas)
+        assert gamma == 0.0
 
     def test_unstable_case_opposite_real_parts(self):
-        sp = eigen_spectrum(from_product(1.0, 2.0, WAO))
-        assert sp.case is SpectrumCase.UNSTABLE
-        reals = sorted(lam.real for lam in sp.lambdas)
+        lambdas, gamma, case, _ = spectrum_at(1.0, 2.0, WAO)
+        assert case == "II"
+        reals = sorted(lam.real for lam in lambdas)
         assert reals[0] == -reals[2]  # exact, by conjugate symmetrization
         assert reals[1] == 0.0
-        assert sp.gamma == reals[2] > 0.0
+        assert gamma == reals[2] > 0.0
 
     def test_vieta_anchors(self):
         rng = np.random.default_rng(11)
-        for _ in range(500):
-            d = rng.uniform(-5, 10)
-            ab = rng.uniform(0, 20)
-            eta = int(rng.integers(0, 2))
-            sp = eigen_spectrum(from_product(d, ab, eta))
-            l1, l2, l3 = sp.lambdas
-            assert abs((l1 + l2 + l3) - 1j * d) <= 1e-10
-            assert abs(l1 * l2 * l3 - 1j * (ab + eta * d)) <= 1e-10
+        d, ab, eta = np.array([(rng.uniform(-5, 10), rng.uniform(0, 20), int(rng.integers(0, 2))) for _ in range(500)]).T
+        l1, l2, l3 = spectrum_arrays(d, ab, eta)[0].T
+        assert (abs((l1 + l2 + l3) - 1j * d) <= 1e-10).all()
+        assert (abs(l1 * l2 * l3 - 1j * (ab + eta * d)) <= 1e-10).all()
 
     def test_dispersion_residual(self):
         rng = np.random.default_rng(12)
-        for _ in range(300):
-            d = rng.uniform(-5, 10)
-            ab = rng.uniform(0, 20)
-            eta = int(rng.integers(0, 2))
-            sp = eigen_spectrum(from_product(d, ab, eta))
-            scale = max(1.0, abs(d), float(eta), ab + eta * abs(d))
-            for lam in sp.lambdas:
-                resid = abs(lam**3 - 1j * d * lam**2 + eta * lam - 1j * (ab + eta * d))
-                assert resid <= 1e-9 * scale
+        d, ab, eta = np.array([(rng.uniform(-5, 10), rng.uniform(0, 20), int(rng.integers(0, 2))) for _ in range(300)]).T
+        lam = spectrum_arrays(d, ab, eta)[0]
+        d, ab, eta = d[:, None], ab[:, None], eta[:, None]
+        scale = np.maximum.reduce([np.ones_like(d), abs(d), eta, ab + eta * abs(d)])
+        resid = abs(lam**3 - 1j * d * lam**2 + eta * lam - 1j * (ab + eta * d))
+        assert (resid <= 1e-9 * scale).all()
 
     def test_huge_alpha_beta_gives_finite_rate(self):
         # cubic coefficients of order 1e300: unscaled p^3 and q^2 overflow to NaN
-        sp = eigen_spectrum(from_product(1.0, 1e300, WAO))
+        lambdas, gamma, case, _ = spectrum_at(1.0, 1e300, WAO)
         with np.errstate(over="ignore"):
             lhs = threshold_lhs(np.float64(1.0), np.float64(1e300), WAO)
         assert lhs > 0.0
-        assert sp.case is SpectrumCase.UNSTABLE
-        assert all(np.isfinite(lam) for lam in sp.lambdas)
+        assert case == "II"
+        assert all(np.isfinite(lam) for lam in lambdas)
         # far above threshold gamma -> (sqrt(3)/2) * ab^(1/3)
-        assert sp.gamma == pytest.approx(SQRT3_HALF * 1e100, rel=1e-12)
+        assert gamma == pytest.approx(SQRT3_HALF * 1e100, rel=1e-12)
 
     def test_tiny_alpha_beta_rao_stays_unstable(self):
         # RAO at delta21 = 0 is unstable for every ab > 0; at ab = 1e-200 the
         # unscaled discriminant underflows to 0 and reads as a stable triple root
-        sp = eigen_spectrum(from_product(0.0, 1e-200, RAO))
-        assert sp.case is SpectrumCase.UNSTABLE
-        assert sp.gamma == pytest.approx(gamma_rao_closed_form(0.0, 1e-200), rel=1e-12)
+        _, gamma, case, _ = spectrum_at(0.0, 1e-200, RAO)
+        assert case == "II"
+        assert gamma == pytest.approx(gamma_rao_closed_form(0.0, 1e-200), rel=1e-12)
 
     @pytest.mark.parametrize("d, eta", [(1e6, RAO), (1e9, RAO), (1e9, WAO), (1e20, WAO), (1e200, WAO)])
     def test_large_detuning_is_stable_with_accurate_small_roots(self, d, eta):
@@ -112,10 +104,10 @@ class TestEigenSpectrum:
         # (the first three read as case II; at 1e20 the small roots came out
         # as +-7e10, at 1e200 as 0 and 0)
         ab = 1.0
-        sp = eigen_spectrum(from_product(d, ab, eta))
-        assert sp.case is SpectrumCase.STABLE
-        assert sp.gamma == 0.0
-        xs = sorted((-1j * lam for lam in sp.lambdas), key=lambda x: x.real)  # lambda = i x
+        lambdas, gamma, case, _ = spectrum_at(d, ab, eta)
+        assert case == "I"
+        assert gamma == 0.0
+        xs = sorted((-1j * lam for lam in lambdas), key=lambda x: x.real)  # lambda = i x
         assert all(x.imag == 0.0 for x in xs)
         assert xs[2].real == pytest.approx(d, rel=1e-12)
         small = np.sqrt(ab / d) if eta == RAO else 1.0 + ab / (2.0 * d)
@@ -124,10 +116,10 @@ class TestEigenSpectrum:
 
     def test_zero_alpha_beta_rao_double_root_is_stable(self):
         # x^2 (x - 0.5): the double root came out as a pair with gamma 1.5e-10
-        sp = eigen_spectrum(from_product(0.5, 0.0, RAO))
-        assert sp.case is SpectrumCase.STABLE
-        assert sp.gamma == 0.0
-        assert sorted(abs(lam) for lam in sp.lambdas) == [0.0, 0.0, 0.5]
+        lambdas, gamma, case, _ = spectrum_at(0.5, 0.0, RAO)
+        assert case == "I"
+        assert gamma == 0.0
+        assert sorted(abs(lam) for lam in lambdas) == [0.0, 0.0, 0.5]
 
     def test_gamma_stable_under_tolerance_refinement(self):
         # the boundary band does not feed the rate: the banded tag is the same
@@ -136,9 +128,8 @@ class TestEigenSpectrum:
         d, ab, eta = (np.array(v, dtype=float) for v in zip(*points))
         normalized = solve_cubics(-d, -eta, ab + eta * d).normalized
         assert ((normalized >= -1e-13) == (normalized >= -1e-12)).all()
-        for point in points:
-            sp = eigen_spectrum(from_product(*point))
-            assert eigen_spectrum(from_product(*point)).gamma == sp.gamma
+        gamma = spectrum_arrays(d, ab, eta)[1]
+        assert (spectrum_arrays(d, ab, eta)[1] == gamma).all()
 
 
 class TestGammaRaoClosedForm:
@@ -158,16 +149,14 @@ class TestGammaRaoClosedForm:
 
     def test_matches_numeric_spectrum_on_grid(self):
         # the acceptance suite runs the full 200x200 grid; spot-check here
-        worst = 0.0
-        for d in np.linspace(-5.0, 10.0, 40):
-            for ab in np.linspace(0.25, 20.0, 40):
-                numeric = eigen_spectrum(from_product(d, ab, RAO)).gamma
-                worst = max(worst, abs(gamma_rao_closed_form(d, ab) - numeric))
+        d, ab = (v.ravel() for v in np.meshgrid(np.linspace(-5.0, 10.0, 40), np.linspace(0.25, 20.0, 40), indexing="ij"))
+        numeric = spectrum_arrays(d, ab, RAO)[1]
+        worst = max(abs(gamma_rao_closed_form(x, y) - g) for x, y, g in zip(d, ab, numeric.tolist()))
         assert worst <= 1e-8
 
     def test_negative_detuning_branch(self):
         # d > 1 exercises the signed-cube-root branch of the two-thirds powers
-        numeric = eigen_spectrum(from_product(-3.0, 1.0, RAO)).gamma
+        numeric = spectrum_at(-3.0, 1.0, RAO)[1]
         assert gamma_rao_closed_form(-3.0, 1.0) == pytest.approx(numeric, abs=1e-12)
 
     def test_rejects_invalid(self):
@@ -203,17 +192,19 @@ class TestThresholdLhs:
 
     def test_sign_agrees_with_case_tag(self):
         rng = np.random.default_rng(5)
-        checked = 0
-        while checked < 2000:
+        points = []
+        while len(points) < 2000:
             d = rng.uniform(-5, 10)
             ab = rng.uniform(1e-6, 20)
             eta = int(rng.integers(0, 2))
             lhs = float(threshold_lhs(d, ab, eta))
             if abs(lhs) <= 1e-10:
                 continue
-            case = eigen_spectrum(from_product(d, ab, eta)).case
-            assert (lhs > 0.0) == (case is SpectrumCase.UNSTABLE), (d, ab, eta, lhs, case)
-            checked += 1
+            points.append((d, ab, eta, lhs))
+        d, ab, eta, lhs = np.array(points).T
+        case = spectrum_arrays(d, ab, eta)[2]
+        wrong = (lhs > 0.0) != (case == "II")
+        assert not wrong.any(), np.array(points)[wrong]
 
     def test_array_evaluation(self):
         d = np.linspace(-2, 6, 11)
@@ -288,19 +279,18 @@ class TestCriticalDelta21:
         assert len(edges) == 2
         assert edges[0] < 1.0 < edges[1]
         # gamma at zero detuning must vanish: 0.1 < 2/(3 sqrt 3)
-        assert eigen_spectrum(from_product(0.0, 0.1, WAO)).gamma == 0.0
+        assert spectrum_at(0.0, 0.1, WAO)[1] == 0.0
 
     def test_wao_ab1_lower_edge_negative(self):
         edges = critical_delta21(1.0, WAO)
         assert any(e < 0.0 for e in edges)
-        assert eigen_spectrum(from_product(0.0, 1.0, WAO)).gamma > 0.0
+        assert spectrum_at(0.0, 1.0, WAO)[1] > 0.0
 
     def test_edges_are_actual_case_flips(self):
-        for ab, eta in [(0.1, WAO), (1.0, WAO), (1.0, RAO)]:
-            for edge in critical_delta21(ab, eta):
-                below = eigen_spectrum(from_product(edge - 1e-6, ab, eta)).case
-                above = eigen_spectrum(from_product(edge + 1e-6, ab, eta)).case
-                assert below is not above
+        cases = [(0.1, WAO), (1.0, WAO), (1.0, RAO)]
+        d, ab, eta = np.array([(edge, ab, eta) for ab, eta in cases for edge in critical_delta21(ab, eta)]).T
+        below, above = (spectrum_arrays(d + side, ab, eta)[2] for side in (-1e-6, 1e-6))
+        assert (below != above).all()
 
     def test_rejects_nonpositive_ab(self):
         with pytest.raises(ValueError):
@@ -318,28 +308,24 @@ class TestCriticalDelta21:
         edges = critical_delta21(1e-8, WAO, window=(-10.0005, 20.0005))
         assert len(edges) == 2
         assert edges[0] < 1.0 < edges[1]
-        for edge in edges:
-            below = eigen_spectrum(from_product(edge - 1e-6, 1e-8, WAO)).case
-            above = eigen_spectrum(from_product(edge + 1e-6, 1e-8, WAO)).case
-            assert below is not above
+        below, above = (spectrum_arrays(np.array(edges) + side, 1e-8, WAO)[2] for side in (-1e-6, 1e-6))
+        assert (below != above).all()
 
 
 class TestModuleProperties:
     def test_wao_gain_band_second_threshold(self):
         # below the zero-detuning threshold there is still gain off resonance
-        for ab in (0.05, 0.2, 0.35):
-            assert eigen_spectrum(from_product(0.0, ab, WAO)).gamma == 0.0
-            grid = np.linspace(0.0, 2.0, 401)
-            gammas = [eigen_spectrum(from_product(float(d), ab, WAO)).gamma for d in grid]
-            assert max(gammas) > 0.0
+        ab = np.array([0.05, 0.2, 0.35])[:, None]
+        gamma = spectrum_arrays(np.linspace(0.0, 2.0, 401), ab, WAO)[1].reshape(3, 401)
+        assert (gamma[:, 0] == 0.0).all()  # delta21 = 0 is the grid's first node
+        assert (gamma.max(axis=1) > 0.0).all()
 
     def test_classical_limit_consistency(self):
         rng = np.random.default_rng(6)
-        for _ in range(300):
-            d = rng.uniform(-5, 10)
-            ab = rng.uniform(0.01, 20)
-            numeric = eigen_spectrum(from_product(d, ab, RAO)).gamma
-            assert abs(gamma_rao_closed_form(d, ab) - numeric) <= 1e-8
+        d, ab = np.array([(rng.uniform(-5, 10), rng.uniform(0.01, 20)) for _ in range(300)]).T
+        numeric = spectrum_arrays(d, ab, RAO)[1]
+        for x, y, g in zip(d.tolist(), ab.tolist(), numeric.tolist()):
+            assert abs(gamma_rao_closed_form(x, y) - g) <= 1e-8
 
 
 def test_log_uniform_spectrum_matches_closed_form_threshold():
@@ -350,24 +336,21 @@ def test_log_uniform_spectrum_matches_closed_form_threshold():
     """
     rng = np.random.default_rng(21)
     n = 4000
-    checked = 0
+    points = []
     for _ in range(n):
         d = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-150, 150))
         ab = float(10.0 ** rng.uniform(-150, 150))
         eta = int(rng.integers(0, 2))
         try:
-            sp = eigen_spectrum(from_product(d, ab, eta))
-            threshold = critical_alpha_beta(d, eta)
+            points.append((d, ab, eta, critical_alpha_beta(d, eta) or 0.0))
         except ValueError:
             continue
-        assert all(np.isfinite(lam) for lam in sp.lambdas), (d, ab, eta, sp)
-        assert np.isfinite(sp.gamma), (d, ab, eta, sp)
-        if sp.boundary:
-            continue
-        unstable = ab > (threshold or 0.0)
-        assert (sp.case is SpectrumCase.UNSTABLE) == unstable, (d, ab, eta, sp, threshold)
-        checked += 1
-    assert checked >= n // 4
+    d, ab, eta, threshold = np.array(points).T
+    lambdas, gamma, case, boundary = spectrum_arrays(d, ab, eta)
+    assert np.isfinite(lambdas).all() and np.isfinite(gamma).all()
+    wrong = ~boundary & ((case == "II") != (ab > threshold))
+    assert not wrong.any(), np.array(points)[wrong]
+    assert (~boundary).sum() >= n // 4
 
 
 def test_large_detuning_class_matches_closed_form_threshold_inside_boundary_band():
@@ -376,7 +359,7 @@ def test_large_detuning_class_matches_closed_form_threshold_inside_boundary_band
     the threshold itself the class must still be right.
     """
     rng = np.random.default_rng(11)
-    checked = 0
+    points = []
     for _ in range(2000):
         d = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0, 100))
         ab = float(10.0 ** rng.uniform(-10, 10))
@@ -384,10 +367,11 @@ def test_large_detuning_class_matches_closed_form_threshold_inside_boundary_band
         threshold = critical_alpha_beta(d, eta) or 0.0
         if abs(ab - threshold) <= 1e-3 * max(ab, threshold):
             continue
-        sp = eigen_spectrum(from_product(d, ab, eta))
-        assert (sp.case is SpectrumCase.UNSTABLE) == (ab > threshold), (d, ab, eta, sp, threshold)
-        checked += 1
-    assert checked >= 1900
+        points.append((d, ab, eta, threshold))
+    d, ab, eta, threshold = np.array(points).T
+    wrong = (spectrum_arrays(d, ab, eta)[2] == "II") != (ab > threshold)
+    assert not wrong.any(), np.array(points)[wrong]
+    assert len(points) >= 1900
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -404,10 +388,12 @@ def test_spectrum_depends_only_on_product(d, ab, eta, split_log2):
     comparison isolates the invariant from rounding of alpha*beta itself.
     """
     split = 2.0**split_log2
-    base = eigen_spectrum(ScaledParams(delta21=d, alpha=ab, beta=1.0, eta=eta))
-    other = eigen_spectrum(ScaledParams(delta21=d, alpha=ab * split, beta=1.0 / split, eta=eta))
-    assert other.gamma == pytest.approx(base.gamma, abs=1e-12)
-    for a, b in zip(base.lambdas, other.lambdas):
+    base, other = (
+        spectrum_at(p.delta21, p.alpha_beta, p.eta)
+        for p in (ScaledParams(d, ab, 1.0, eta), ScaledParams(d, ab * split, 1.0 / split, eta))
+    )
+    assert other[1] == pytest.approx(base[1], abs=1e-12)
+    for a, b in zip(base[0], other[0]):
         assert a == pytest.approx(b, abs=1e-10)
 
 
@@ -421,16 +407,16 @@ def test_rao_rate_where_deflated_pair_leaves_normal_range(log_d, log_ab):
     Measured worst relative error: 4.4e-16 in 200000 log-uniform draws.
     """
     d, ab = -(10.0**log_d), 10.0**log_ab
-    sp = eigen_spectrum(from_product(d, ab, RAO))
-    assert sp.case is SpectrumCase.UNSTABLE and not sp.boundary
-    assert sp.gamma == pytest.approx(gamma_rao_closed_form(d, ab), rel=1e-15, abs=0.0)
+    _, gamma, case, boundary = spectrum_at(d, ab, RAO)
+    assert case == "II" and not boundary
+    assert gamma == pytest.approx(gamma_rao_closed_form(d, ab), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error")
 class TestGammaRaoClosedFormAtExtremes:
     """The RAO closed form at extreme scales: right, or a named error; never NaN,
     a false 0, a bare OverflowError or a RuntimeWarning. The references are
-    eigen_spectrum's rates (the last one matches 60-digit mpmath)."""
+    spectrum_arrays's rates (the last one matches 60-digit mpmath)."""
 
     @pytest.mark.parametrize("to_float", [float, np.float64])
     @pytest.mark.parametrize(
@@ -444,7 +430,7 @@ class TestGammaRaoClosedFormAtExtremes:
     )
     def test_pinned_points(self, to_float, delta21, alpha_beta, expected):
         d, ab = to_float(delta21), to_float(alpha_beta)
-        assert eigen_spectrum(from_product(d, ab, RAO)).gamma == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert spectrum_at(d, ab, RAO)[1] == pytest.approx(expected, rel=1e-15, abs=0.0)
         assert gamma_rao_closed_form(d, ab) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("to_float", [float, np.float64])
@@ -455,20 +441,20 @@ class TestGammaRaoClosedFormAtExtremes:
 
     @pytest.mark.parametrize("delta21, alpha_beta", [(1e100, 1e-100), (1e200, 1.0)])
     def test_wao_spectrum_of_numpy_scalars_saturates_silently(self, delta21, alpha_beta):
-        sp = eigen_spectrum(from_product(np.float64(delta21), np.float64(alpha_beta), WAO))
-        assert sp.case is SpectrumCase.STABLE
-        assert all(np.isfinite(lam) for lam in sp.lambdas)
+        lambdas, _, case, _ = spectrum_at(np.float64(delta21), np.float64(alpha_beta), WAO)
+        assert case == "I"
+        assert all(np.isfinite(lam) for lam in lambdas)
 
     def test_log_uniform_matches_spectrum(self):
         # 40 000 scratch draws gave at most 5.9e-15 of the root scale, from the
         # pow-based cube root at large alpha_beta; the bound leaves 3x of room
         rng = np.random.default_rng(31)
-        for _ in range(4000):
-            d = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-150, 100))
-            ab = float(10.0 ** rng.uniform(-150, 150))
-            sp = eigen_spectrum(from_product(d, ab, RAO))
-            scale = max(abs(lam) for lam in sp.lambdas)
-            assert abs(gamma_rao_closed_form(d, ab) - sp.gamma) <= 2e-14 * scale, (d, ab, sp)
+        draws = [(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-150, 100), 10.0 ** rng.uniform(-150, 150)) for _ in range(4000)]
+        d, ab = np.array(draws).T
+        lambdas, gamma = spectrum_arrays(d, ab, RAO)[:2]
+        scale = abs(lambdas).max(axis=1)
+        for x, y, g, s in zip(d.tolist(), ab.tolist(), gamma.tolist(), scale.tolist()):
+            assert abs(gamma_rao_closed_form(x, y) - g) <= 2e-14 * s, (x, y, g)
 
 
 class TestSpectrumArrays:
@@ -490,10 +476,10 @@ class TestSpectrumArrays:
         eta = np.concatenate([eta, [p[2] for p in pinned]])
         lambdas, gamma, case, boundary = spectrum_arrays(d, ab, eta)
         for i in range(d.size):
-            sp = eigen_spectrum(from_product(d[i], ab[i], int(eta[i])))
-            assert np.array(sp.lambdas).tobytes() == lambdas[i].tobytes(), (d[i], ab[i], eta[i])
-            assert np.float64(sp.gamma).tobytes() == gamma[i].tobytes()
-            assert (sp.case.value, sp.boundary) == (case[i], boundary[i])
+            one = spectrum_arrays(d[i], ab[i], int(eta[i]))
+            assert one[0].tobytes() == lambdas[i].tobytes(), (d[i], ab[i], eta[i])
+            assert one[1].tobytes() == gamma[i].tobytes()
+            assert (one[2][0], one[3][0]) == (case[i], boundary[i])
         # the exact RAO double root: x^3 - 1.5 x^2 + 0.5 = (x - 1)^2 (x + 0.5)
         assert tuple(lambdas[n]) == (-0.5j, 1j, 1j)
         assert case[n] == "I" and boundary[n]

@@ -14,12 +14,14 @@ product and a trajectory is ``F^n y0`` (see Moler and Van Loan, "Nineteen
 dubious ways to compute the exponential of a matrix", SIAM Review, 2003).
 The stepper takes a chunk of 2048 steps per Python iteration: one product
 of a table of powers ``F^j`` with the chunk's block-start states gives every
-state, a second every step's step-doubling error estimate, and each step's
-checks run over those arrays. :func:`propagator` provides the exact
-``exp(tau*M)`` through the eigenvalues of the spectrum module, serving as an
-independent oracle. Exponential growth rates are extracted from
-trajectories by :func:`fit_growth_rate` and compared against the spectrum's
-gamma.
+state, a second every step's step-doubling error estimate. Every step is
+checked in a few whole-array passes per chunk: the largest estimate is
+compared with the tolerance, and the steps are searched only when it fails;
+the search for |B| > 1 runs only in a chunk whose states come near that
+size. :func:`propagator` provides the exact ``exp(tau*M)`` through the
+eigenvalues of the spectrum module, serving as an independent oracle.
+Exponential growth rates are extracted from trajectories by
+:func:`fit_growth_rate` and compared against the spectrum's gamma.
 """
 
 from __future__ import annotations
@@ -147,14 +149,15 @@ def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
 
 # Steps per block: the powers F^k are precomputed for k <= _BLOCK, a few
 # tens of kilobytes. A chunk of _CHUNK steps (whole blocks) is one Python
-# iteration of evolve; its temporaries are a few hundred kilobytes, and
-# larger chunks cost memory without saving time.
+# iteration of evolve and one round of whole-array checks; its temporaries
+# are a few hundred kilobytes, and larger chunks cost memory without saving
+# time.
 _BLOCK = 256
 _CHUNK = 8 * _BLOCK
 _LOW = 16  # the table is F^(_LOW a) F^j with j < _LOW
 
 
-def _step_powers(m: np.ndarray, h: float, k: int) -> Tuple[np.ndarray, np.ndarray, List[List[complex]]]:
+def _step_powers(m: np.ndarray, h: float, k: int, step: str) -> Tuple[np.ndarray, np.ndarray, List[List[complex]]]:
     """Transposed ``F^j`` and ``(F - H^2) F^(j-1)`` for ``j = 1..k``, and ``F^k``.
 
     ``F`` is the RK4 step matrix for a step ``h`` and ``H`` the one for
@@ -165,10 +168,15 @@ def _step_powers(m: np.ndarray, h: float, k: int) -> Tuple[np.ndarray, np.ndarra
     ``F^j`` for ``j <= min(k, 16)`` and ``F^(16a)`` are built one factor at
     a time in extended precision, so that rounding does not compound along
     the chain, then every ``F^(16a + j)`` in one product; a shortened final
-    step (``k = 1``) forms ``F`` alone.
+    step (``k = 1``) forms ``F`` alone. If ``F`` or ``F - H^2`` leaves the
+    float range, no step can be taken: that raises, naming ``step``.
     """
     full = _rk4_step_matrix(m, h)
     half = _rk4_step_matrix(m, h / 2.0)
+    diff = full - half @ half
+    if not np.isfinite((full, diff)).all():
+        size = h * float(np.abs(m).max())
+        raise StepSizeRejection(f"the RK4 step matrix overflows the float range for {step}, where the step times M has entries up to {size:.3g}; reduce dt")
     low = np.empty((min(k, _LOW) + 1, 3, 3), dtype=np.clongdouble)
     high = np.empty((k // _LOW + 1, 3, 3), dtype=np.clongdouble)
     low[0] = high[0] = np.eye(3)
@@ -180,20 +188,24 @@ def _step_powers(m: np.ndarray, h: float, k: int) -> Tuple[np.ndarray, np.ndarra
     # t[d, n, c] = (F^n)[c, d] for n = 16a + j, all from one product
     t = (high.reshape(-1, 3) @ low.transpose(1, 0, 2).reshape(3, -1)).reshape(len(high), 3, len(low), 3)
     t = t.transpose(3, 0, 2, 1).reshape(3, -1, 3)[:, : k + 1]
-    errors = (t[:, :k].reshape(-1, 3) @ (full - half @ half).T).reshape(3, -1)
+    errors = (t[:, :k].reshape(-1, 3) @ diff.T).reshape(3, -1)
     return np.ascontiguousarray(t[:, 1:]).reshape(3, -1), errors, t[:, k].T.tolist()
 
 
-def _chunk(table, y, taus, h, error_tol, flag):
-    """States after each of ``len(taus)`` steps of size ``h`` from ``y``.
+def _chunk(table, y, n, tau, step, error_tol, flag):
+    """States after each of ``n`` steps from ``y``; row ``i`` is at ``tau(i)``.
 
     Block-start states follow from ``y_{b+1} = F^k y_b`` in Python complex
     arithmetic. Also returns the largest error estimate and, if ``flag``, the
     tau of the first step after which |B| > 1, or None. The first step whose
-    estimate exceeds ``error_tol`` or whose state overflows raises.
+    estimate exceeds ``error_tol`` or whose state overflows raises, naming
+    ``step``. The checks take one maximum per chunk: ``sqrt`` is correctly
+    rounded and monotone, so the square root of the largest squared estimate
+    is the largest estimate, and the steps are searched only when it fails.
+    |B|^2 <= |y|^2, so the |B| > 1 search runs only in a chunk whose largest
+    |y|^2 reaches 0.99, a bound far from any rounding.
     """
     powers, errors, ((f00, f01, f02), (f10, f11, f12), (f20, f21, f22)) = table
-    n = len(taus)
     starts = [y]
     for _ in range((n - 1) // (powers.shape[1] // 3)):
         a, b, c = starts[-1]
@@ -201,29 +213,30 @@ def _chunk(table, y, taus, h, error_tol, flag):
     starts = np.array(starts)
     ys = (starts @ powers).reshape(-1, 3)[:n]
     diff = (starts @ errors).reshape(-1, 3)[:n]
-    yv, dv = ys.view(float), diff.view(float)
-    den = np.einsum("ij,ij->i", yv, yv)
-    if not (den.min() > 1e-290 and den.max() < 1e290):
+    # row sums of squares as products with ones: a reduction over 6 columns is several times slower
+    yv, dv, ones = ys.view(float), diff.view(float), np.ones(6)
+    den = np.square(yv) @ ones
+    top = den.max()
+    if not (den.min() > 1e-290 and top < 1e290):
         # a sum of squares left the float range: scale each row by a power of
-        # two, which leaves |diff| / |y| exact; a non-finite state gets nan
-        top = np.abs(yv).max(axis=1)
-        yv, dv = (np.ldexp(v, -np.frexp(top)[1][:, None]) for v in (yv, dv))
-        den = np.where(top < math.inf, np.einsum("ij,ij->i", yv, yv), math.nan)
-    err = np.sqrt(np.einsum("ij,ij->i", dv, dv) / np.maximum(den, 1e-300))
-    bad = np.flatnonzero(~(err <= error_tol))
-    if bad.size:
-        k = bad[0]
+        # two, which leaves |diff| / |y| exact; a non-finite state gets nan,
+        # a zero state the estimate 0
+        big = np.abs(yv).max(axis=1)
+        yv, dv = (np.ldexp(v, -np.frexp(big)[1][:, None]) for v in (yv, dv))
+        den = np.maximum(np.where(big < math.inf, np.square(yv) @ ones, math.nan), 1e-300)
+    ratio = (np.square(dv) @ ones) / den
+    err = math.sqrt(ratio.max())
+    if not err <= error_tol:
+        errs = np.sqrt(ratio)
+        k = int(np.argmax(~(errs <= error_tol)))
         if not np.isfinite(ys[k]).all():
-            raise NonFiniteStateError(float(taus[k]))
-        raise StepSizeRejection(
-            f"local error estimate {err[k]:.3g} exceeds {error_tol:.3g} at tau = {taus[k]:.6g} "
-            f"for dt = {h:.3g}; reduce dt"
-        )
+            raise NonFiniteStateError(tau(k))
+        raise StepSizeRejection(f"local error estimate {errs[k]:.3g} exceeds {error_tol:.3g} at tau = {tau(k):.6g} for {step}; reduce dt")
     crossed = None
-    if flag:
+    if flag and top >= 0.99:
         over = np.flatnonzero(np.abs(ys[:, 1]) > 1.0)
-        crossed = float(taus[over[0]]) if over.size else None
-    return ys, float(err.max()), crossed
+        crossed = tau(int(over[0])) if over.size else None
+    return ys, err, crossed
 
 
 def evolve(
@@ -266,7 +279,8 @@ def evolve(
         Per-step relative error bound, estimated by step doubling (one full
         step against two half steps). Exceeding it raises
         :class:`StepSizeRejection` at the first step that does, with advice
-        to reduce ``dt``. A state past the float range raises
+        to reduce ``dt``, and so does a step matrix past the float range,
+        before any step. A state past the float range raises
         :class:`NonFiniteStateError` at the first step that reaches it.
 
     Returns
@@ -306,23 +320,25 @@ def evolve(
     tau[1:-1] = init.tau + np.arange(1, n - 1) * output_stride * dt
     tau[-1] = init.tau + n_full * dt if remainder == 0.0 else tau_end
 
-    def chunks():  # (table, step, steps before the chunk, taus)
+    def chunks():  # (table, the step in words, steps before the chunk, steps in it, tau of its row i)
         if n_full:
-            table = _step_powers(m, dt, min(_BLOCK, n_full))
+            step = f"dt = {dt:.3g}"
+            table = _step_powers(m, dt, min(_BLOCK, n_full), step)
             for start in range(0, n_full, _CHUNK):
-                yield table, dt, start, init.tau + np.arange(start + 1, min(start + _CHUNK, n_full) + 1) * dt
+                yield table, step, start, min(_CHUNK, n_full - start), lambda i, start=start: init.tau + (start + 1 + i) * dt
         if remainder > 0.0:
-            yield _step_powers(m, remainder, 1), remainder, n_full, np.array([tau_end])
+            step = f"the shortened final step {remainder:.3g} of dt = {dt:.3g}"
+            yield _step_powers(m, remainder, 1, step), step, n_full, 1, lambda i: tau_end
 
     # past the float range a product overflows; _chunk names the step
     with np.errstate(over="ignore", invalid="ignore"):
-        for table, h, start, taus in chunks():
-            ys, err, crossed = _chunk(table, y, taus, h, error_tol, linearity_flag is None)
+        for table, step, start, count, tau_at in chunks():
+            ys, err, crossed = _chunk(table, y, count, tau_at, step, error_tol, linearity_flag is None)
             max_err = max(max_err, err)
             if linearity_flag is None:
                 linearity_flag = crossed
             # samples a..b-1 are the steps k * output_stride in this chunk; copied, no view of ys outlives it
-            a, b = start // output_stride + 1, min(start + len(taus), before_last) // output_stride + 1
+            a, b = start // output_stride + 1, min(start + count, before_last) // output_stride + 1
             out[a:b] = ys[a * output_stride - start - 1 : b * output_stride - start - 1 : output_stride]
             y = ys[-1].tolist()
 

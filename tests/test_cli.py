@@ -552,6 +552,19 @@ class TestEvolveMode:
         assert err.startswith("numerical failure: ") and "float range at tau = " in err
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta21", ["1e60", "1e80", "1e100"])
+    def test_overflowing_step_matrix_exit_code_2_and_no_file(self, capsys, tmp_path, delta21):
+        out = tmp_path / "f.csv"
+        code, stdout, err = run_cli(
+            capsys,
+            "evolve", "--delta21", delta21, "--alpha-beta", "1", "--eta", "1",
+            "--tau-end", "1", "--dt", "1e-3", "-o", str(out),
+        )
+        assert code == 2
+        assert err.startswith("numerical failure: ") and "reduce dt" in err and "nan" not in err
+        assert stdout == "" and not out.exists()
+
 
     @pytest.mark.parametrize(
         "flag, value, message",

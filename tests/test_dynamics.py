@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from carl import (
     RAO,
@@ -363,6 +365,8 @@ class TestEvolveObservability:
         with pytest.raises(StepSizeRejection, match="reduce dt") as got:
             evolve(p, SEED_STATE, tau_end=0.5, dt=0.8)
         assert rejection_tau(got) == rejection_tau(ref) == 0.5
+        # both the step taken and the step asked for
+        assert "the shortened final step 0.5 of dt = 0.8;" in str(got.value)
 
     def test_defaults_keep_old_constructor(self):
         traj = Trajectory(tau=np.array([SEED_STATE.tau]), y=np.array([[SEED_STATE.A1, SEED_STATE.B, SEED_STATE.Bdot]]), params=decoupled(WAO), dt=1e-3)
@@ -424,6 +428,46 @@ class TestChunkEdges:
         assert peak < 2 * 2**20
 
 
+class TestChunkChecks:
+    # each chunk compares its largest estimate with the tolerance and searches
+    # the steps only when that fails; it searches for |B| > 1 only when its
+    # largest |y|^2 reaches 0.99
+
+    @pytest.mark.parametrize("delta21, eta", [(2.5, WAO), (3.0, RAO)])
+    def test_tolerance_at_the_largest_estimate(self, delta21, eta):
+        # stable points whose largest estimate comes in the third chunk
+        p = ScaledParams.from_product(delta21, 0.4, eta)
+        dt, tau_end = 0.02, 120.0
+        largest = evolve(p, SEED_STATE, tau_end, dt, error_tol=math.inf).max_step_error
+        assert evolve(p, SEED_STATE, tau_end, dt, error_tol=largest).max_step_error == largest
+        _, _, _, errs = reference_evolve(p, SEED_STATE, tau_end, dt, 100, error_tol=math.inf)
+        j = int(np.argmax(errs))
+        assert j >= 2 * _CHUNK
+        with pytest.raises(StepSizeRejection) as ref:
+            reference_evolve(p, SEED_STATE, tau_end, dt, 100, error_tol=math.nextafter(max(errs), 0.0))
+        with pytest.raises(StepSizeRejection, match="reduce dt") as got:
+            evolve(p, SEED_STATE, tau_end, dt, error_tol=math.nextafter(largest, 0.0))
+        assert rejection_tau(got) == rejection_tau(ref) == pytest.approx((j + 1) * dt)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(r=st.floats(0.99, 1.01), phase=st.floats(0.0, 1.0), a1=st.floats(0.0, 0.1))
+    def test_flag_where_the_states_straddle_the_bound(self, r, phase, a1):
+        # B = r cos(tau - phase) and A1 = a1 stay put, so |y|^2 = a1^2 + r^2,
+        # and |B| peaks at r; ties with 1 are left out
+        init = TrajectoryState(0.0, a1 + 0j, r * math.cos(phase) + 0j, r * math.sin(phase) + 0j)
+        _, states, flag, _ = reference_evolve(decoupled(WAO), init, 1.0, 1e-3, 1)
+        assume(np.all(np.abs(np.abs(states[:, 1]) - 1.0) > 1e-12))
+        assert evolve(decoupled(WAO), init, tau_end=1.0, dt=1e-3).linearity_flag == flag
+
+    def test_large_probe_with_small_bunching_has_no_flag(self):
+        # |A1|^2 = 1e6 opens the search in every chunk, and it finds nothing
+        init = TrajectoryState(0.0, 1e3 + 0j, 0.9 + 0j, 0j)
+        _, _, flag, _ = reference_evolve(decoupled(WAO), init, 10.0, 1e-3, 100)
+        traj = evolve(decoupled(WAO), init, tau_end=10.0, dt=1e-3)
+        assert flag is None and traj.linearity_flag is None
+        assert np.abs(traj.y[:, 0]).min() > 999.0 and traj.steps > 4 * _CHUNK
+
+
 @pytest.mark.filterwarnings("error")
 class TestFloatRange:
     P = ScaledParams.from_product(0.5, 1.0, WAO)  # gamma = 0.56, above threshold
@@ -455,6 +499,15 @@ class TestFloatRange:
         assert np.all(np.isfinite(last.as_vector()))
         with pytest.raises(NonFiniteStateError):
             evolve(self.P, SEED_STATE, tau_end=tau, dt=0.01, output_stride=1000)
+
+    @pytest.mark.parametrize("delta21", [1e60, 1e80, 1e100])
+    def test_overflowing_step_matrix_is_a_step_size_error(self, delta21):
+        # dt*M is of order 1e57 to 1e97: F or F - H^2 overflows, the state of 1e-6 does not
+        p = ScaledParams.from_product(delta21, 1.0, WAO)
+        with pytest.raises(StepSizeRejection, match="reduce dt") as excinfo:
+            evolve(p, SEED_STATE, tau_end=1.0, dt=1e-3)
+        assert "step matrix overflows the float range for dt = 0.001," in str(excinfo.value)
+        assert "nan" not in str(excinfo.value)
 
 
 class TestColumns:

@@ -14,13 +14,13 @@ The option tables declare every flag and config key: :data:`POINT` the
 flags of the control point, :data:`SCALED` and :data:`PHYSICAL` the keys of
 the two parameter blocks, and :data:`MODES` each mode's options. One row
 gives its flag(s) (a block key has none), config key, type, default (or
-that it is required), help and choices, and one resolver, :func:`_resolve`,
-checks every config mapping against its rows. The tables generate each
-subcommand's flags, the keys a config may use, the defaults a config run
-gets (the same as the flag defaults) and the config a flag run is
-normalized to, so a config echoing a flag run produces byte-identical
-output. Exit codes: 0 success, 1 configuration error, 2 numerical failure
-(integrator step rejection, or a state past the float range).
+that it is required), help and choices. A flag run is normalized to the
+config of the flags given, and one resolver, :func:`_resolve`, checks every
+config mapping against its rows: a row's type parses the flag text and the
+config value alike, and only its default fills a key left out. So a config
+echoing a flag run produces byte-identical output. Exit codes: 0 success,
+1 configuration error, 2 numerical failure (integrator step rejection, or a
+state past the float range).
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ REQUIRED = object()  # the default of an option that must be given
 class Option(NamedTuple):
     """One option: its flag(s), config key, type, default and help.
 
-    ``type`` parses the flag and converts the config value alike; ``None``
-    takes the value as given, for the handler to parse.
+    ``type`` parses the flag text and the config value alike, and ``default``
+    fills a key left out, both in :func:`_resolve`; argparse gives no default.
     """
 
     flags: Tuple[str, ...]
     key: str
-    type: Optional[Callable]
+    type: Callable
     default: Any
     help: str = ""  # a config key without a flag has none
     choices: Optional[Tuple] = None
@@ -169,7 +169,7 @@ def _resolve(rows: Sequence[Option], given, where: str) -> Dict:
         try:
             if any(isinstance(v, bool) for v in (raw if isinstance(raw, list) else [raw])):
                 raise ValueError("must not be a boolean")
-            values[o.key] = raw if o.type is None else o.type(raw)
+            values[o.key] = o.type(raw)
             if o.choices and values[o.key] not in o.choices:
                 raise ValueError(f"must be one of {', '.join(map(str, o.choices))}")
         except (TypeError, ValueError, OverflowError) as exc:
@@ -194,23 +194,21 @@ def _scaled_from_config(config: Dict, eta: Optional[int]) -> ScaledParams:
     return to_scaled(phys, eta)
 
 
-def _parse_regimes(value: str) -> Tuple[str, ...]:
-    table = {"rao": ("RAO",), "wao": ("WAO",), "both": ("RAO", "WAO")}
-    if value.lower() not in table:
-        raise ValueError(f"regimes must be 'rao', 'wao' or 'both', got {value!r}")
-    return table[value.lower()]
+def _parse_regimes(value) -> Tuple[str, ...]:
+    """The regimes ``rao``, ``wao`` or ``both`` name, in any case."""
+    if not isinstance(value, str) or value.lower() not in _REGIMES:
+        raise ValueError("must be 'rao', 'wao' or 'both'")
+    return _REGIMES[value.lower()]
 
 
 def _parse_ratios(value) -> List[float]:
-    """Mass ratios from the flag's comma-separated string or a config list of numbers."""
-    if isinstance(value, str):
-        try:
-            return [float(x) for x in value.split(",") if x.strip()]
-        except ValueError:
-            pass
-    elif isinstance(value, list) and all(type(x) in (int, float) for x in value):  # a bool is no ratio
-        return value
-    raise ValueError(f"ratios must be a comma-separated list of numbers, got {value!r}")
+    """Mass ratios, as floats, from the flag's comma-separated text or a config list of numbers."""
+    if isinstance(value, list) and all(isinstance(x, (int, float)) for x in value):
+        return [float(x) for x in value]
+    try:
+        return [float(x) for x in value.split(",") if x.strip()]
+    except (AttributeError, ValueError):  # not text, or a word in it
+        raise ValueError("must be a comma-separated list of numbers") from None
 
 
 def _complex(value) -> complex:
@@ -258,7 +256,7 @@ def _sweep_spec(params: ScaledParams, options: Dict) -> SweepSpec:
         stop=options["to"],
         num_points=options["points"],
         fixed=params.alpha_beta if options["axis"] == "delta21" else params.delta21,
-        regimes=_parse_regimes(options["regimes"]),
+        regimes=options["regimes"],
     )
 
 
@@ -302,13 +300,13 @@ def _run_evolve(params: ScaledParams, options: Dict) -> int:
 
 
 def _run_mass_study(_: None, options: Dict) -> int:
-    ratios = _parse_ratios(options["ratios"])
+    ratios = options["ratios"]
     results = mass_study(
         options["alpha_beta_base"],
         ratios,
         delta21_range=(options["from"], options["to"]),
         num_points=options["points"],
-        regimes=_parse_regimes(options["regimes"]),
+        regimes=options["regimes"],
     )
     fmt = options["format"]
     stem = options["output"]
@@ -345,6 +343,9 @@ def _run_validate(params: ScaledParams, options: Dict) -> int:
 
 _AXIS = ("delta21", "alpha_beta")
 _FORMAT = ("csv", "json")
+_REGIMES = {"rao": ("RAO",), "wao": ("WAO",), "both": ("RAO", "WAO")}
+_parse_regimes.convert = _parse_ratios.convert = str  # argparse passes the flag text on to _resolve
+_REGIMES_OPTION = Option(("--regimes",), "regimes", _parse_regimes, _REGIMES["both"], "rao, wao or both (default both)")
 
 MODES: Dict[str, Mode] = {
     "spectrum": Mode(
@@ -358,7 +359,7 @@ MODES: Dict[str, Mode] = {
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled units)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled units)"),
             Option(("--points",), "points", _SIZE, REQUIRED, "number of grid points (>= 2)"),
-            Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
+            _REGIMES_OPTION,
             Option(("-o", "--output"), "output", str, REQUIRED, "output file path"),
             Option(("--format",), "format", str, "csv", "output format (default csv)", _FORMAT),
         ),
@@ -392,11 +393,11 @@ MODES: Dict[str, Mode] = {
         "RAO/WAO convergence with atomic mass, in reference-mass units", _run_mass_study, False, ("points",),
         (
             Option(("--alpha-beta-base",), "alpha_beta_base", float, REQUIRED, "alpha*beta at mass ratio 1 (scaled)"),
-            Option(("--ratios",), "ratios", None, REQUIRED, "comma-separated mass ratios, e.g. 1,10,100"),
+            Option(("--ratios",), "ratios", _parse_ratios, REQUIRED, "comma-separated mass ratios, e.g. 1,10,100"),
             Option(("--from",), "from", float, -2.0, "detuning start in reference units (default -2)"),
             Option(("--to",), "to", float, 6.0, "detuning stop in reference units (default 6)"),
             Option(("--points",), "points", _SIZE, 801, "grid points (default 801)"),
-            Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
+            _REGIMES_OPTION,
             Option(("-o", "--output"), "output", str, REQUIRED, "output stem; files <stem>_r<ratio>.<fmt>"),
             Option(("--format",), "format", str, "csv", "output format (default csv)", _FORMAT),
         ),
@@ -408,7 +409,7 @@ MODES: Dict[str, Mode] = {
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled)"),
             Option(("--points",), "points", _SIZE, REQUIRED, "number of grid points"),
-            Option(("--regimes",), "regimes", str, "both", "rao, wao or both (default both)"),
+            _REGIMES_OPTION,
             Option(("--samples",), "samples", _integer, REQUIRED, "number of random grid samples to validate"),
             Option(("--seed",), "seed", _integer, 0, "RNG seed for sample selection (default 0)"),
             Option(("-o", "--output"), "output", str, None, "optional JSON report path"),
@@ -555,10 +556,10 @@ def emit_plot_script(
 
 
 def _add_option(sub: argparse.ArgumentParser, o: Option) -> None:
-    required = o.default is REQUIRED
+    # no default: a flag left out stays out of the config, and _resolve fills it from the row
     sub.add_argument(
-        *o.flags, dest=o.key, type=getattr(o.type, "convert", o.type), choices=o.choices, required=required,
-        default=None if required else o.default, help=o.help, metavar=o.metavar,
+        *o.flags, dest=o.key, type=getattr(o.type, "convert", o.type), choices=o.choices,
+        required=o.default is REQUIRED, help=o.help, metavar=o.metavar,
     )
 
 

@@ -302,25 +302,21 @@ def validate_sweep(spec: SweepSpec, n_samples: int, *, seed: int = 0) -> Validat
         params = ScaledParams.from_product(*spec.controls(axis_value), _REGIME_ETA[regime])
         init = TrajectoryState(tau=0.0, A1=1e-6 + 0j, B=0.0, Bdot=0.0)
         if gamma > 0.0:
-            window = (30.0 / gamma, 60.0 / gamma)
-            dt = min(5e-3, 0.02 / max(abs(lam) for lam in lambdas))
-            traj = evolve(params, init, tau_end=window[1], dt=dt, output_stride=50)
-            try:
-                fitted = fit_growth_rate(traj, window)
-            except NonExponentialFitError:
-                entries.append(ValidationEntry(axis_value, regime, gamma, None, "inconsistent", None))
-                continue
-            rel = abs(fitted - gamma) / gamma
-            status = "ok" if rel <= 0.01 else "mismatch"
-            entries.append(ValidationEntry(axis_value, regime, gamma, fitted, status, rel))
+            window, dt = (30.0 / gamma, 60.0 / gamma), min(5e-3, 0.02 / max(abs(lam) for lam in lambdas))
         else:
-            traj = evolve(params, init, tau_end=60.0, dt=5e-3, output_stride=50)
-            try:
-                fitted = fit_growth_rate(traj, (20.0, 60.0))
-            except NonExponentialFitError:
-                entries.append(ValidationEntry(axis_value, regime, 0.0, None, "consistent_stable", None))
-            else:
-                entries.append(ValidationEntry(axis_value, regime, 0.0, fitted, "inconsistent", None))
+            window, dt = (20.0, 60.0), 5e-3
+        traj = evolve(params, init, tau_end=window[1], dt=dt, output_stride=50)
+        try:
+            fitted = fit_growth_rate(traj, window)
+        except NonExponentialFitError:
+            fitted = None
+        # above threshold the fit must find gamma, below it no exponential at all
+        rel = abs(fitted - gamma) / gamma if gamma > 0.0 and fitted is not None else None
+        if gamma > 0.0:
+            status = "inconsistent" if fitted is None else "ok" if rel <= 0.01 else "mismatch"
+        else:
+            status = "consistent_stable" if fitted is None else "inconsistent"
+        entries.append(ValidationEntry(axis_value, regime, gamma, fitted, status, rel))
     return ValidationReport(entries=tuple(entries), seed=seed)
 
 

@@ -9,7 +9,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from carl.cli import MODES, POINT, ConfigError, _inspect_result_csv, build_parser, main
+import carl
+from carl.cli import MODES, POINT, ConfigError, _config_from_args, _inspect_result_csv, _parse_args, build_parser, emit_plot_script, main
 
 GAMMA_WAO_AB1 = 0.56227951206230124
 
@@ -161,6 +162,12 @@ class TestConfigRoundTrip:
                 ["fig2_r1.csv", "fig2_r10.csv"],
             ),
             (
+                "mass-study --alpha-beta-base 5 --ratios 1,10 --points 51 -o fig2",
+                {"mode": "mass-study",
+                 "options": {"alpha_beta_base": 5, "ratios": [1, 10], "points": 51, "output": "fig2"}},
+                ["fig2_r1.csv", "fig2_r10.csv"],
+            ),
+            (
                 "validate --axis delta21 --from -1 --to 3 --points 41 --alpha-beta 1 --samples 4 --seed 1 "
                 "-o report.json",
                 {"mode": "validate", "scaled": {"delta21": 0.0, "alpha": 1.0, "beta": 1.0, "eta": 0},
@@ -176,7 +183,8 @@ class TestConfigRoundTrip:
                 ["nulls.csv"],
             ),
         ],
-        ids=["spectrum", "curve-json", "threshold", "evolve", "mass-study", "validate", "curve-null-defaults"],
+        ids=["spectrum", "curve-json", "threshold", "evolve", "mass-study", "mass-study-ratios-list", "validate",
+             "curve-null-defaults"],
     )
     def test_every_mode_flags_vs_config_byte_identical(self, capsys, tmp_path, monkeypatch, argv, config, outputs):
         # relative output paths, so stdout (which names them) must match too
@@ -193,6 +201,14 @@ class TestConfigRoundTrip:
             assert code == 0
             runs[how] = (out, [(workdir / name).read_bytes() for name in outputs])
         assert runs["flags"] == runs["config"]
+
+    def test_flags_left_out_stay_out_of_the_config(self):
+        # the defaults come from the rows, in _resolve, so the config of a flag run holds only the flags given
+        args = _parse_args("mass-study --alpha-beta-base 5 --ratios 1,10 -o fig2".split())
+        assert _config_from_args(args) == {
+            "mode": "mass-study", "options": {"alpha_beta_base": 5.0, "ratios": "1,10", "output": "fig2"}}
+        args = _parse_args("curve --axis delta21 --from -1 --to 3 --points 5 -o c.csv".split())
+        assert _config_from_args(args)["options"] == {"axis": "delta21", "from": -1.0, "to": 3.0, "points": 5, "output": "c.csv"}
 
     def test_integral_float_eta_in_scaled_block(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -292,6 +308,9 @@ VALIDATE_ARGV = "validate --axis delta21 --from -1 --to 3 --points 41 --alpha-be
 MASS_STUDY_ARGV = "mass-study --alpha-beta-base 1 --ratios 1 --from {} --to {} --points {} -o rev"
 THRESHOLD_ARGV = "threshold --eta 1 --delta21-from -2 --delta21-to 6 --alpha-beta-from 0.01 --alpha-beta-to 10 -o thr.csv"
 EVOLVE_ARGV = "evolve --delta21 0.5 --alpha-beta 1 --eta 1 --dt 1e-3 -o traj.csv"
+CURVE_ARGV = "curve --axis delta21 --from -1 --to 3 --points 5 --alpha-beta 1 -o c.csv"
+CURVE_CONFIG = {"mode": "curve", "scaled": {"delta21": 0.0, "alpha": 1.0, "beta": 1.0, "eta": 0},
+                "options": {"axis": "delta21", "from": -1, "to": 3, "points": 5, "output": "c.csv"}}
 K0 = 2.0 * math.pi / 780e-9
 OMEGA0 = 2.0 * math.pi * 384.23e12
 OMEGA2 = OMEGA0 - 2.0 * math.pi * 30e9
@@ -380,6 +399,47 @@ class TestBadOptionValues:
             ({"mode": "evolve", "scaled": SCALED_WAO, "options": {"tau_end": 1, "a1_seed": [True, 0], "output": "traj.csv"}},
              ["'a1_seed' = [True, 0] in options for mode 'evolve'"]),
             ({"mode": "spectrum", "scaled": SCALED_WAO, "options": {"output": True}}, ["'output' = True in options for mode 'spectrum'"]),
+            # regimes and ratios are parsed by their rows, from a flag's text or a config value alike
+            (CURVE_ARGV + " --regimes x", ["'regimes' = 'x' in options for mode 'curve': must be 'rao', 'wao' or 'both'"]),
+            (CURVE_ARGV + " --regimes 5", ["'regimes' = '5' in options for mode 'curve': must be 'rao', 'wao' or 'both'"]),
+            (CURVE_ARGV + " --regimes rao,wao", ["'regimes' = 'rao,wao' in options for mode 'curve': must be 'rao', 'wao'"]),
+            (VALIDATE_ARGV + " --regimes x", ["'regimes' = 'x' in options for mode 'validate': must be 'rao', 'wao'"]),
+            (MASS_STUDY_ARGV.format(-2, 6, 5) + " --regimes x", ["'regimes' = 'x' in options for mode 'mass-study': must be"]),
+            (dict(CURVE_CONFIG, options=dict(CURVE_CONFIG["options"], regimes=5)),
+             ["'regimes' = 5 in options for mode 'curve': must be 'rao', 'wao' or 'both'"]),
+            (dict(CURVE_CONFIG, options=dict(CURVE_CONFIG["options"], regimes="x")),
+             ["'regimes' = 'x' in options for mode 'curve': must be 'rao', 'wao' or 'both'"]),
+            (dict(CURVE_CONFIG, options=dict(CURVE_CONFIG["options"], regimes=["rao"])),
+             ["'regimes' = ['rao'] in options for mode 'curve': must be 'rao', 'wao' or 'both'"]),
+            (MASS_STUDY_ARGV.replace("--ratios 1", "--ratios x").format(-2, 6, 5),
+             ["'ratios' = 'x' in options for mode 'mass-study': must be a comma-separated list of numbers"]),
+            (MASS_STUDY_ARGV.replace("--ratios 1", "--ratios 1,x").format(-2, 6, 5),
+             ["'ratios' = '1,x' in options for mode 'mass-study': must be a comma-separated list of numbers"]),
+            ({"mode": "mass-study", "options": {"alpha_beta_base": 5, "ratios": 5, "output": "ms"}},
+             ["'ratios' = 5 in options for mode 'mass-study': must be a comma-separated list of numbers"]),
+            ({"mode": "mass-study", "options": {"alpha_beta_base": 5, "ratios": "x", "output": "ms"}},
+             ["'ratios' = 'x' in options for mode 'mass-study': must be a comma-separated list of numbers"]),
+            ({"mode": "mass-study", "options": {"alpha_beta_base": 5, "ratios": [1, "10"], "output": "ms"}},
+             ["'ratios' = [1, '10'] in options for mode 'mass-study': must be a comma-separated list of numbers"]),
+            ({"mode": "mass-study", "options": {"alpha_beta_base": 5, "ratios": [1, 10**400], "output": "ms"}},
+             ["'ratios' = [1, 1000", "in options for mode 'mass-study': int too large to convert to float"]),
+            # a config value outside a row's choices, which argparse checks for a flag
+            (dict(CURVE_CONFIG, options=dict(CURVE_CONFIG["options"], axis="x")),
+             ["'axis' = 'x' in options for mode 'curve': must be one of delta21, alpha_beta"]),
+            (dict(CURVE_CONFIG, options=dict(CURVE_CONFIG["options"], format="xml")),
+             ["'format' = 'xml' in options for mode 'curve': must be one of csv, json"]),
+            ({"mode": "spectrum", "scaled": SCALED_WAO, "options": {"eta": 2}},
+             ["'eta' = 2 in options for mode 'spectrum': must be one of 0, 1"]),
+            # half of the --alpha/--beta pair
+            ("spectrum --alpha 1 --eta 1", ["--alpha and --beta must be given together"]),
+            ("spectrum --beta 1 --eta 1", ["--alpha and --beta must be given together"]),
+            # an output path into a directory that does not exist
+            (CURVE_ARGV.replace("-o c.csv", "-o missing/c.csv"), ["error: [Errno 2] No such file or directory: 'missing/c.csv'\n"]),
+            (CURVE_ARGV.replace("-o c.csv", "--format json -o missing/c.json"), ["error: [Errno 2] No such file or directory: 'missing/c.json'\n"]),
+            (THRESHOLD_ARGV.replace("-o thr.csv", "-o missing/thr.csv"), ["error: [Errno 2] No such file or directory: 'missing/thr.csv'\n"]),
+            (EVOLVE_ARGV.replace("-o traj.csv", "-o missing/traj.csv") + " --tau-end 1", ["error: [Errno 2] No such file or directory: 'missing/traj.csv'\n"]),
+            (MASS_STUDY_ARGV.replace("-o rev", "-o missing/rev").format(-2, 6, 5),
+             ["error: [Errno 2] No such file or directory: 'missing/rev_r1.csv'\n"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
              "points-fraction", "eta-fraction", "scaled-eta-fraction", "scaled-delta21-string",
@@ -390,7 +450,12 @@ class TestBadOptionValues:
              "evolve-stride-1e30", "evolve-steps-past-2**53",
              "threshold-alpha-beta-to-1e200", "threshold-alpha-beta-from-subnormal", "threshold-delta21-from-1e101",
              "threshold-alpha-beta-from-nan", "config-not-utf8", "physical-file-not-utf8", "plot-script-result-not-utf8",
-             "scaled-eta-bool", "physical-N-bool", "from-bool", "ratios-bool", "a1_seed-bool-pair", "output-bool"],
+             "scaled-eta-bool", "physical-N-bool", "from-bool", "ratios-bool", "a1_seed-bool-pair", "output-bool",
+             "regimes-flag-word", "regimes-flag-number", "regimes-flag-list", "validate-regimes-flag", "mass-study-regimes-flag",
+             "regimes-number", "regimes-word", "regimes-list", "ratios-flag-word", "ratios-flag-list-with-word",
+             "ratios-number", "ratios-word", "ratios-list-with-string", "ratios-past-float",
+             "axis-not-a-choice", "format-not-a-choice", "eta-not-a-choice", "alpha-without-beta", "beta-without-alpha",
+             "curve-missing-dir", "curve-json-missing-dir", "threshold-missing-dir", "evolve-missing-dir", "mass-study-missing-dir"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)
@@ -619,6 +684,15 @@ class TestMassStudyMode:
             assert len(data) == 1 + 51 * 2
 
 
+    @pytest.mark.parametrize("output", ["fig.csv", "fig.json", "fig"])
+    def test_extension_of_the_stem_is_dropped(self, capsys, tmp_path, monkeypatch, output):
+        monkeypatch.chdir(tmp_path)
+        fmt = "json" if output.endswith(".json") else "csv"
+        code, out, _ = run_cli(capsys, *f"mass-study --alpha-beta-base 5 --ratios 1,10 --points 5 --format {fmt} -o {output}".split())
+        assert code == 0
+        assert out == f"mass-study: ratios [1.0, 10.0] -> fig_r1.{fmt}, fig_r10.{fmt}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"fig_r1.{fmt}", f"fig_r10.{fmt}"]
+
     def test_ratio_past_the_float_range_is_named(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, *"mass-study --alpha-beta-base 1 --ratios 1,1e200 -o ms".split())
@@ -643,6 +717,26 @@ class TestValidateMode:
         doc = json.loads(out.read_text())
         assert len(doc["entries"]) == 4
         assert "validate_sweep" in stdout
+
+    def test_mismatch_lines_and_exit_code_2(self, capsys, tmp_path, monkeypatch):
+        # every fit off by a half: each sample is a mismatch, printed and reported
+        monkeypatch.setattr(carl.sweep, "fit_growth_rate", lambda traj, window: 1.5 * 60.0 / window[1])
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(
+            capsys,
+            "validate", "--axis", "delta21", "--from", "-0.1", "--to", "0.1", "--points", "3",
+            "--alpha-beta", "1", "--regimes", "wao", "--samples", "2", "--seed", "0", "-o", str(out),
+        )
+        assert (code, err) == (2, "")
+        doc = json.loads(out.read_text())
+        assert doc["counts"] == {"mismatch": 2}
+        lines = stdout.splitlines()
+        assert lines[0] == "validate_sweep: 2 samples (mismatch=2)"
+        for line, entry in zip(lines[1:3], doc["entries"]):
+            assert line == (f"  MISMATCH WAO delta21={entry['axis_value']:g}: "
+                            f"spectrum gamma={entry['gamma_spectrum']:.6g}, fit={entry['gamma_fit']}")
+            assert entry["gamma_fit"] == 1.5 * entry["gamma_spectrum"]
+        assert lines[3:] == [f"wrote {out}"]
 
 
 class TestPlotScript:
@@ -712,6 +806,18 @@ class TestPlotScript:
                 assert "dashtype 2" in line
             if "'WAO'" in line:
                 assert "dashtype" not in line
+
+    @pytest.mark.parametrize(
+        "paths, style, message",
+        [(["a.csv"], "fig2", "style must be 'fig1' or 'mass-study', got 'fig2'"),
+         ([], "fig1", "at least one result file is required")],
+        ids=["bad-style", "no-files"],
+    )
+    def test_emit_refuses_bad_style_or_no_files(self, tmp_path, paths, style, message):
+        script = tmp_path / "x.gp"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            emit_plot_script(paths, style, str(script))
+        assert not script.exists()
 
     def test_missing_column_named(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

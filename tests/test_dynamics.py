@@ -125,6 +125,10 @@ class TestPropagatorOracle:
         p = ScaledParams.from_product(1.0, 1.0, WAO)
         assert np.allclose(propagator(p, 0.0), np.eye(3), atol=1e-12)
 
+    def test_negative_tau_is_refused(self):
+        with pytest.raises(ValueError, match=re.escape("tau must be >= 0, got -1.0")):
+            propagator(ScaledParams.from_product(1.0, 1.0, WAO), -1.0)
+
     def test_characteristic_polynomial_matches_dispersion_cubic(self):
         # det(M - lam I) = -(lam^3 - i d lam^2 + eta lam - i(ab + eta d))
         rng = np.random.default_rng(21)
@@ -200,6 +204,14 @@ class TestFitGrowthRate:
             fit_growth_rate(traj, (5.0, 5.0))
         with pytest.raises(ValueError):
             fit_growth_rate(traj, (5.0, 5.1))  # fewer than 5 samples
+
+    @pytest.mark.parametrize("eta", [RAO, WAO])
+    def test_vanishing_probe_is_refused(self, eta):
+        # decoupled, the probe never leaves A1 = 0, so ln|A1| has no slope
+        traj = evolve(decoupled(eta), TrajectoryState(0.0, 0j, 0.5 + 0j, 0.1 + 0j), tau_end=10.0, dt=5e-3, output_stride=20)
+        assert not traj.probe_magnitudes().any()
+        with pytest.raises(ValueError, match=re.escape("|A1| vanishes inside the window; growth rate undefined")):
+            fit_growth_rate(traj, (2.0, 8.0))
 
     def test_rate_converges_with_later_windows(self):
         p = ScaledParams.from_product(0.5, 2.0, WAO)

@@ -151,6 +151,12 @@ class TestInvariantValidation:
         with pytest.raises(ValueError):
             rb_params(**{field: value})
 
+    @pytest.mark.parametrize("field", ["omega0", "omega1", "omega2"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_physical_rejects_non_finite_frequency(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            rb_params(**{field: value})
+
     def test_physical_rejects_exact_resonance(self):
         with pytest.raises(ValueError):
             rb_params(omega2=RB["omega0"])

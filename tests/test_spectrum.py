@@ -303,6 +303,11 @@ class TestCriticalDelta21:
         with pytest.raises(ValueError, match="alpha_beta"):
             critical_delta21(1e200, RAO)
 
+    @pytest.mark.parametrize("window", [(20.0, -10.0), (1.0, 1.0)])
+    def test_rejects_window_that_is_not_increasing(self, window):
+        with pytest.raises(ValueError, match=re.escape(f"window must be increasing and inside |delta21| <= 1e+100, got {window}")):
+            critical_delta21(1.0, RAO, window=window)
+
     def test_band_narrower_than_old_scan_step_off_grid(self):
         # a 1e-3 scan found this band only when 1.0 was one of its nodes
         edges = critical_delta21(1e-8, WAO, window=(-10.0005, 20.0005))
@@ -624,6 +629,16 @@ def test_one_point_roots_equal_the_array_roots_on_a_dense_grid():
 )
 def test_one_point_roots_equal_the_array_roots(log_d, sign, eta):
     assert_one_point_roots_equal_the_array_roots(sign * 10.0**log_d, eta)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [lambda eta: critical_alpha_beta(0.0, eta), lambda eta: threshold_lhs(0.0, 1.0, eta), lambda eta: critical_delta21(1.0, eta)],
+    ids=["critical_alpha_beta", "threshold_lhs", "critical_delta21"],
+)
+def test_eta_other_than_0_or_1_is_a_named_error(query):
+    with pytest.raises(ValueError, match=re.escape("eta must be 0 (RAO) or 1 (WAO), got 2")):
+        query(2)
 
 
 @pytest.mark.parametrize("eta", [RAO, WAO])

@@ -334,6 +334,39 @@ class TestValidateSweep:
         with pytest.raises(ValueError):
             validate_sweep(spec, 0)
 
+    # WAO at delta21 near 0: alpha_beta 1 is above threshold (gamma about 0.56), 0.1 below it
+    @pytest.mark.parametrize(
+        "fixed, fit, status",
+        [
+            (1.0, lambda window: 1.5 * 60.0 / window[1], "mismatch"),  # above threshold window[1] = 60 / gamma
+            (1.0, None, "inconsistent"),
+            (0.1, lambda window: 0.25, "inconsistent"),
+        ],
+        ids=["mismatch", "inconsistent-above", "inconsistent-below"],
+    )
+    def test_statuses_of_a_wrong_fit(self, monkeypatch, fixed, fit, status):
+        windows = []
+
+        def fake_fit(traj, window):
+            assert traj.tau[-1] == window[1]  # each sample is evolved to the end of its window
+            windows.append(window)
+            if fit is None:
+                raise carl.NonExponentialFitError(residual=0.5, bound=1e-2)
+            return fit(window)
+
+        monkeypatch.setattr(carl.sweep, "fit_growth_rate", fake_fit)
+        spec = SweepSpec(axis="delta21", start=-0.1, stop=0.1, num_points=3, fixed=fixed, regimes=("WAO",))
+        report = validate_sweep(spec, 3, seed=0)
+        assert len(windows) == 3 and [e.status for e in report.entries] == [status] * 3
+        assert report.mismatches() == list(report.entries)
+        for entry, window in zip(report.entries, windows):
+            assert entry.gamma_fit == (None if fit is None else fit(window))
+            if fixed == 1.0:
+                assert entry.gamma_spectrum > 0.05 and window == (30.0 / entry.gamma_spectrum, 60.0 / entry.gamma_spectrum)
+                assert entry.rel_err == (None if fit is None else pytest.approx(0.5))
+            else:
+                assert (entry.gamma_spectrum, window, entry.rel_err) == (0.0, (20.0, 60.0), None)
+
 
 class TestSerialization:
     def spec(self):

@@ -14,13 +14,15 @@ The option tables declare every flag and config key: :data:`POINT` the
 flags of the control point, :data:`SCALED` and :data:`PHYSICAL` the keys of
 the two parameter blocks, and :data:`MODES` each mode's options. One row
 gives its flag(s) (a block key has none), config key, type, default (or
-that it is required), help and choices. A flag run is normalized to the
-config of the flags given, and one resolver, :func:`_resolve`, checks every
-config mapping against its rows: a row's type parses the flag text and the
-config value alike, and only its default fills a key left out. So a config
-echoing a flag run produces byte-identical output. Exit codes: 0 success,
-1 configuration error, 2 numerical failure (integrator step rejection, or a
-state past the float range).
+that it is required), help and choices. argparse checks only the shape of
+a command line: which flags are given, that each has one value, and that
+the required ones are there. Every value is read by one resolver,
+:func:`_resolve`, against its row: the row's type parses the flag text and
+the config value alike, its choices check it, and only its default fills a
+key left out. A flag run is the config document of the flags given, its
+options holding their text, so ``carl run --config`` of that document is
+the same run. Exit codes: 0 success, 1 configuration error, 2 numerical
+failure (integrator step rejection, or a state past the float range).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from carl.sweep import (
     write_sweep_json,
 )
 
-DEFAULT_ETA = 0  # regime of scaled flags without --eta, and of the sweep modes' base point
+DEFAULT_ETA = 0  # regime of a flag run's scaled point, and of the base point of the modes without --eta
 
 
 class ConfigError(Exception):
@@ -62,8 +64,9 @@ REQUIRED = object()  # the default of an option that must be given
 class Option(NamedTuple):
     """One option: its flag(s), config key, type, default and help.
 
-    ``type`` parses the flag text and the config value alike, and ``default``
-    fills a key left out, both in :func:`_resolve`; argparse gives no default.
+    ``type`` parses the flag text and the config value alike, ``choices``
+    checks the result, and ``default`` fills a key left out, all in
+    :func:`_resolve`; argparse parses, checks and defaults no value.
     """
 
     flags: Tuple[str, ...]
@@ -92,7 +95,7 @@ class Mode(NamedTuple):
 
 
 def _integer(value) -> int:
-    """An integer; a float only if it is integral (``41.0``, not ``5.7``), not truncated."""
+    """An integer: an int, an integral float (``41.0``, not ``5.7``: none is truncated) or the text of an int (``41``)."""
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("must be an integer")
     return int(value)
@@ -101,13 +104,12 @@ def _integer(value) -> int:
 def _checked(convert: Callable, ok: Callable, text: str) -> Callable:
     """A type that converts by ``convert``, then raises ``ValueError(text)`` unless ``ok``.
 
-    argparse only converts a flag of this type (``parse.convert``); :func:`_resolve` checks it, naming the key.
+    :func:`_resolve` calls it on a flag's text and a config value alike, and names the key in its error.
     """
     def parse(value):
         if not ok(value := convert(value)):
             raise ValueError(text)
         return value
-    parse.convert = convert
     return parse
 
 
@@ -128,8 +130,8 @@ _DETUNING = _checked(float, lambda v: abs(v) <= _DELTA21_MAX, f"must be in [{-_D
 _PRODUCT = _checked(float, lambda v: -math.inf < v <= 0.0 or _ALPHA_BETA_MIN <= v <= _ALPHA_BETA_MAX,
                     f"must be finite and either <= 0 or in [{_ALPHA_BETA_MIN!r}, {_ALPHA_BETA_MAX:g}]")
 POINT = (
-    Option(("--delta21",), "delta21", float, None, "pump-probe detuning (scaled units, recoil quanta)"),
-    Option(("--alpha-beta",), "alpha_beta", float, None, "gain control product alpha*beta (scaled, dimensionless)"),
+    Option(("--delta21",), "delta21", float, 0.0, "pump-probe detuning (scaled units, recoil quanta)"),
+    Option(("--alpha-beta",), "alpha_beta", float, 0.0, "gain control product alpha*beta (scaled, dimensionless)"),
     Option(("--alpha",), "alpha", float, None, "pump-intensity control alpha (scaled; use with --beta)"),
     Option(("--beta",), "beta", float, None, "density control beta (scaled; use with --alpha)"),
     Option(("--physical",), "physical", str, None, f"JSON file with SI-unit parameters (keys {','.join(o.key for o in PHYSICAL)}) instead of scaled flags", metavar="FILE"),
@@ -224,15 +226,16 @@ def _complex(value) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _write_report(doc: Dict, out: Optional[str]) -> None:
+def _report(lines: List[str], doc: Dict, out: Optional[str]) -> None:
+    """Write ``doc`` to ``out``, if given, and only then print ``lines`` and the path written."""
     if out:
         write_json(doc, out)
-        print(f"wrote {out}")
+        lines.append(f"wrote {out}")
+    print("\n".join(lines))
 
 
 def _run_spectrum(params: ScaledParams, options: Dict) -> int:
     lambdas, gamma, case, boundary = (v[0].tolist() for v in spectrum_arrays(params.delta21, params.alpha_beta, params.eta))
-    print(f"Γ = {gamma:.6g}, Case {case}")
     doc = {
         "delta21": params.delta21,
         "alpha": params.alpha,
@@ -245,7 +248,7 @@ def _run_spectrum(params: ScaledParams, options: Dict) -> int:
         "lambdas": [[lam.real, lam.imag] for lam in lambdas],
         "version": __version__,
     }
-    _write_report(doc, options["output"])
+    _report([f"Γ = {gamma:.6g}, Case {case}"], doc, options["output"])
     return 0
 
 
@@ -325,26 +328,24 @@ def _run_mass_study(_: None, options: Dict) -> int:
 def _run_validate(params: ScaledParams, options: Dict) -> int:
     spec = _sweep_spec(params, options)
     report = validate_sweep(spec, options["samples"], seed=options["seed"])
-    print(report)
-    for entry in report.mismatches():
-        print(
-            f"  MISMATCH {entry.regime} {spec.axis}={entry.axis_value:g}: "
-            f"spectrum gamma={entry.gamma_spectrum:.6g}, fit={entry.gamma_fit}"
-        )
+    lines = [str(report)] + [
+        f"  MISMATCH {entry.regime} {spec.axis}={entry.axis_value:g}: "
+        f"spectrum gamma={entry.gamma_spectrum:.6g}, fit={entry.gamma_fit}"
+        for entry in report.mismatches()
+    ]
     doc = {
         "seed": report.seed,
         "counts": report.counts(),
         "entries": [asdict(e) for e in report.entries],
         "version": __version__,
     }
-    _write_report(doc, options["output"])
+    _report(lines, doc, options["output"])
     return 0 if not report.mismatches() else 2
 
 
 _AXIS = ("delta21", "alpha_beta")
 _FORMAT = ("csv", "json")
 _REGIMES = {"rao": ("RAO",), "wao": ("WAO",), "both": ("RAO", "WAO")}
-_parse_regimes.convert = _parse_ratios.convert = str  # argparse passes the flag text on to _resolve
 _REGIMES_OPTION = Option(("--regimes",), "regimes", _parse_regimes, _REGIMES["both"], "rao, wao or both (default both)")
 
 MODES: Dict[str, Mode] = {
@@ -425,8 +426,9 @@ def execute(config: Dict) -> int:
     options left out or null get their table defaults. A ``TypeError`` or
     ``ValueError`` from building the parameters or running the mode becomes
     a :class:`ConfigError`, and so does a ``MemoryError``, named by the
-    mode's size options. Modes without the eta option take their base point
-    in the regime ``DEFAULT_ETA``.
+    mode's size options. The regime comes from the eta option, else from
+    the scaled block; a physical block carries none, so there a mode with
+    the option needs it given. The other modes take ``DEFAULT_ETA``.
     """
     _check_keys(config, ("mode", "scaled", "physical", "options"), "config")
     name = config.get("mode")
@@ -435,6 +437,7 @@ def execute(config: Dict) -> int:
     mode = MODES[name]
     options = _resolve(mode.options, config.get("options", {}), f"options for mode '{name}'")
     try:
+        # a mode without the eta option reads only the fixed control of its base point, the same in either regime
         params = _scaled_from_config(config, options.get("eta", DEFAULT_ETA)) if mode.block else None
         return mode.run(params, options)
     except MemoryError as exc:
@@ -556,11 +559,9 @@ def emit_plot_script(
 
 
 def _add_option(sub: argparse.ArgumentParser, o: Option) -> None:
-    # no default: a flag left out stays out of the config, and _resolve fills it from the row
-    sub.add_argument(
-        *o.flags, dest=o.key, type=getattr(o.type, "convert", o.type), choices=o.choices,
-        required=o.default is REQUIRED, help=o.help, metavar=o.metavar,
-    )
+    # no type, choices or default: the flag's text goes into the config as given, and _resolve reads it by the row
+    metavar = "{" + ",".join(map(str, o.choices)) + "}" if o.choices else o.metavar
+    sub.add_argument(*o.flags, dest=o.key, required=o.default is REQUIRED, help=o.help, metavar=metavar)
 
 
 def _load_json(path: str, what: str):
@@ -572,23 +573,20 @@ def _load_json(path: str, what: str):
 
 
 def _block_from_args(args: argparse.Namespace) -> Dict:
-    """The parameter block the flags give: ``{"physical": ...}`` or ``{"scaled": ...}``."""
-    if args.physical:
-        block = _load_json(args.physical, "physical-parameter file")
-        if any(getattr(args, name) is not None for name in ("delta21", "alpha_beta", "alpha", "beta")):
-            raise ConfigError("give either --physical or scaled flags, not both")
-        return {"physical": block}
-    delta21 = args.delta21 if args.delta21 is not None else 0.0
-    if args.alpha is not None or args.beta is not None:
-        if args.alpha is None or args.beta is None:
-            raise ConfigError("--alpha and --beta must be given together")
-        if args.alpha_beta is not None:
-            raise ConfigError("give either --alpha-beta or the --alpha/--beta pair, not both")
-        alpha, beta = args.alpha, args.beta
-    else:
-        product = args.alpha_beta if args.alpha_beta is not None else 0.0
-        alpha, beta = product, 1.0
-    return {"scaled": {"delta21": delta21, "alpha": alpha, "beta": beta, "eta": DEFAULT_ETA}}
+    """The block the flags give, ``{"physical": ...}`` or ``{"scaled": ...}``: conflicts checked, then values read by :data:`POINT`."""
+    given = {o.key: getattr(args, o.key) for o in POINT}
+    if given["physical"] is not None and any(given[key] is not None for key in ("delta21", "alpha_beta", "alpha", "beta")):
+        raise ConfigError("give either --physical or scaled flags, not both")
+    if (given["alpha"] is None) != (given["beta"] is None):
+        raise ConfigError("--alpha and --beta must be given together")
+    if given["alpha"] is not None and given["alpha_beta"] is not None:
+        raise ConfigError("give either --alpha-beta or the --alpha/--beta pair, not both")
+    point = _resolve(POINT, given, "control-point flags")
+    if point["physical"] is not None:
+        return {"physical": _load_json(point["physical"], "physical-parameter file")}
+    alpha, beta = (point["alpha_beta"], 1.0) if point["alpha"] is None else (point["alpha"], point["beta"])
+    # the scaled flags have no block of their own to carry a regime: --eta, where the mode has it, overrides this one
+    return {"scaled": {"delta21": point["delta21"], "alpha": alpha, "beta": beta, "eta": DEFAULT_ETA}}
 
 
 # the subcommands and their help, in the order the top-level help lists them
@@ -668,15 +666,12 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 
 def _config_from_args(args: argparse.Namespace) -> Dict:
-    """The config document a flag run stands for; flags left unset (None) are left out."""
+    """The config document a flag run stands for: the text of each option flag given, and the flags' block."""
     mode = MODES[args.command]
     options = {o.key: getattr(args, o.key) for o in mode.options if getattr(args, o.key) is not None}
     config = {"mode": args.command, "options": options}
     if mode.block:
         config.update(_block_from_args(args))
-        # the regime travels as an option, as the SI block has no eta key
-        if ETA in mode.options:
-            options.setdefault("eta", DEFAULT_ETA)
     return config
 
 

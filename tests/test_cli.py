@@ -1,16 +1,33 @@
 """Command-line interface tests: flags, config round-trip, exit codes, plot scripts."""
 
+import contextlib
+import io
 import json
 import math
+import os
 import re
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import carl
-from carl.cli import MODES, POINT, ConfigError, _config_from_args, _inspect_result_csv, _parse_args, build_parser, emit_plot_script, main
+from carl.cli import (
+    MODES,
+    POINT,
+    REQUIRED,
+    ConfigError,
+    _config_from_args,
+    _inspect_result_csv,
+    _parse_args,
+    build_parser,
+    emit_plot_script,
+    main,
+)
 
 GAMMA_WAO_AB1 = 0.56227951206230124
 
@@ -176,6 +193,11 @@ class TestConfigRoundTrip:
                 ["report.json"],
             ),
             (
+                "evolve --delta21 0 --alpha-beta 1 --eta 1 --tau-end 2 --a1-seed 1e-6 -o traj.csv",
+                None,  # the flag run's own config document, as JSON
+                ["traj.csv"],
+            ),
+            (
                 "curve --axis delta21 --from -1 --to 3 --points 5 --alpha-beta 0.5 -o nulls.csv",
                 {"mode": "curve", "scaled": {"delta21": 0.0, "alpha": 0.5, "beta": 1.0, "eta": 0},
                  "options": {"axis": "delta21", "from": -1, "to": 3, "points": 5, "regimes": None,
@@ -184,7 +206,7 @@ class TestConfigRoundTrip:
             ),
         ],
         ids=["spectrum", "curve-json", "threshold", "evolve", "mass-study", "mass-study-ratios-list", "validate",
-             "curve-null-defaults"],
+             "evolve-a1-seed-dumped", "curve-null-defaults"],
     )
     def test_every_mode_flags_vs_config_byte_identical(self, capsys, tmp_path, monkeypatch, argv, config, outputs):
         # relative output paths, so stdout (which names them) must match too
@@ -196,6 +218,7 @@ class TestConfigRoundTrip:
             if how == "flags":
                 code, out, _ = run_cli(capsys, *argv.split())
             else:
+                config = _config_from_args(_parse_args(argv.split())) if config is None else config
                 (workdir / "run.json").write_text(json.dumps(config))
                 code, out, _ = run_cli(capsys, "run", "--config", "run.json")
             assert code == 0
@@ -203,12 +226,12 @@ class TestConfigRoundTrip:
         assert runs["flags"] == runs["config"]
 
     def test_flags_left_out_stay_out_of_the_config(self):
-        # the defaults come from the rows, in _resolve, so the config of a flag run holds only the flags given
+        # the values and defaults come from the rows, in _resolve, so the config of a flag run holds the text of the flags given
         args = _parse_args("mass-study --alpha-beta-base 5 --ratios 1,10 -o fig2".split())
         assert _config_from_args(args) == {
-            "mode": "mass-study", "options": {"alpha_beta_base": 5.0, "ratios": "1,10", "output": "fig2"}}
+            "mode": "mass-study", "options": {"alpha_beta_base": "5", "ratios": "1,10", "output": "fig2"}}
         args = _parse_args("curve --axis delta21 --from -1 --to 3 --points 5 -o c.csv".split())
-        assert _config_from_args(args)["options"] == {"axis": "delta21", "from": -1.0, "to": 3.0, "points": 5, "output": "c.csv"}
+        assert _config_from_args(args)["options"] == {"axis": "delta21", "from": "-1", "to": "3", "points": "5", "output": "c.csv"}
 
     def test_integral_float_eta_in_scaled_block(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -320,6 +343,125 @@ PHYSICAL_RB = {
 }
 
 
+@contextlib.contextmanager
+def _cwd(path):
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+def _run_in(workdir, argv, inputs=("phys.json", "run.json")):
+    """``main(argv)`` run in ``workdir``: its exit code, stdout, stderr and the bytes of each file it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with _cwd(workdir), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    files = {}
+    for name in sorted(set(os.listdir(workdir)) - set(inputs)):
+        with open(os.path.join(workdir, name), "rb") as f:
+            files[name] = f.read()
+    return code, out.getvalue(), err.getvalue(), files
+
+
+def _menu(mode, o):
+    """The texts of row ``o`` of ``mode``: two valid ones that run in milliseconds, and the ones its row refuses."""
+    valid = {
+        "delta21": ("0.5", "-1"), "alpha_beta": ("1", "0.25"), "alpha": ("0.5", "2"), "beta": ("2", "0.5"),
+        "physical": ("phys.json", "phys.json"), "eta": ("0", "1"), "output": ("out", "out.json"),
+        "axis": ("delta21", "alpha_beta"), "from": ("-1", "0.5"), "to": ("3", "1"), "points": ("5", "64"),
+        "regimes": ("wao", "both"), "format": ("csv", "json"), "delta21_from": ("-2", "0"), "delta21_to": ("6", "2"),
+        "alpha_beta_from": ("0.01", "0"), "alpha_beta_to": ("10", "2"), "resolution": ("16", "64"),
+        "tau_end": ("0.5", "2"), "dt": ("1e-3", "0.01"), "stride": ("1", "50"), "a1_seed": ("1e-6", "-2e-3"),
+        "b0": ("0", "1e-3"), "bdot0": ("0", "-1e-3"), "alpha_beta_base": ("1", "5"), "ratios": ("1,10", "2"),
+        "samples": ("1", "2"), "seed": ("0", "7"),
+    }[o.key]
+    refused = ["missing/out" if o.key == "output" else "x"]
+    refused += ["2.5"] if o.key in ("eta", "points", "resolution", "stride", "samples", "seed") else []
+    refused += ["2"] if o.choices else []
+    refused += ["nan", "-inf", "1e30"] if o.key in MODES[mode].sizes else []
+    return valid, refused
+
+
+# the control-point flags a command line gives: each valid set, then three that conflict
+POINT_SETS = ((), ("delta21",), ("alpha_beta",), ("delta21", "alpha_beta"), ("delta21", "alpha", "beta"), ("physical",),
+              ("alpha",), ("alpha_beta", "alpha", "beta"), ("delta21", "physical"))
+
+
+@st.composite
+def _flag_runs(draw, mode):
+    """A command line of ``mode``: every required row and a subset of the others, at most one of them with a refused text."""
+    point = draw(st.sampled_from(POINT_SETS)) if MODES[mode].block else ()
+    rows = [o for o in POINT if o.key in point] + [o for o in MODES[mode].options if o.default is REQUIRED or draw(st.booleans())]
+    refused = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else None
+    return [mode, *(x for o in rows for x in (o.flags[-1], draw(st.sampled_from(_menu(mode, o)[o is refused]))))]
+
+
+@pytest.mark.parametrize("mode", list(MODES))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_flag_run_is_its_config_document(mode, data):
+    """A flag run and ``carl run --config`` of its JSON config document give the same exit code, output and files."""
+    argv = data.draw(_flag_runs(mode))
+    with tempfile.TemporaryDirectory() as flags, tempfile.TemporaryDirectory() as config:
+        with open(os.path.join(flags, "phys.json"), "w") as f:
+            json.dump(PHYSICAL_RB, f)
+        ran = _run_in(flags, argv)
+        with _cwd(flags):  # where the --physical file is
+            try:
+                doc = _config_from_args(_parse_args(argv))
+            except ConfigError as exc:
+                assert ran == (1, "", f"error: {exc}\n", {})
+                return
+        with open(os.path.join(config, "run.json"), "w") as f:
+            json.dump(doc, f)
+        assert ran == _run_in(config, ["run", "--config", "run.json"])
+
+
+# a physical block with each mode's options, as flags and as a config; --eta and the eta option are added to both
+REGIME_RUNS = {
+    "spectrum": ("spectrum -o out.json", {"output": "out.json"}),
+    "threshold": ("threshold --delta21-from -2 --delta21-to 6 --alpha-beta-from 0.01 --alpha-beta-to 10 --resolution 32 -o out.csv",
+                  {"delta21_from": -2, "delta21_to": 6, "alpha_beta_from": 0.01, "alpha_beta_to": 10, "resolution": 32,
+                   "output": "out.csv"}),
+    "evolve": ("evolve --tau-end 1 -o out.csv", {"tau_end": 1, "output": "out.csv"}),
+    "curve": ("curve --axis delta21 --from -1 --to 3 --points 5 -o out.csv",
+              {"axis": "delta21", "from": -1, "to": 3, "points": 5, "output": "out.csv"}),
+}
+
+
+class TestRegimeOfAPhysicalBlock:
+    """A physical block carries no regime: the modes with the eta option need it, by flags and by config alike."""
+
+    def runs(self, tmp_path, mode, eta):
+        argv, options = REGIME_RUNS[mode]
+        if eta is not None:
+            argv, options = f"{argv} --eta {eta}", dict(options, eta=eta)
+        (tmp_path / "flags").mkdir()
+        (tmp_path / "config").mkdir()
+        (tmp_path / "flags" / "phys.json").write_text(json.dumps(PHYSICAL_RB))
+        (tmp_path / "config" / "run.json").write_text(json.dumps({"mode": mode, "physical": PHYSICAL_RB, "options": options}))
+        ran = _run_in(tmp_path / "flags", [*argv.split(), "--physical", "phys.json"])
+        assert ran == _run_in(tmp_path / "config", ["run", "--config", "run.json"])
+        return ran
+
+    @pytest.mark.parametrize("mode", ["spectrum", "threshold", "evolve"])
+    def test_without_eta_is_named_error(self, tmp_path, mode):
+        code, out, err, files = self.runs(tmp_path, mode, None)
+        assert (code, out, files) == (1, "", {})
+        assert err == "error: the 'physical' block carries no regime; set the 'eta' option (0=RAO, 1=WAO)\n"
+
+    @pytest.mark.parametrize("mode", ["spectrum", "threshold", "evolve"])
+    def test_with_eta_writes_the_same_bytes(self, tmp_path, mode):
+        code, _, err, files = self.runs(tmp_path, mode, 1)
+        assert (code, err) == (0, "") and list(files) == [REGIME_RUNS[mode][1]["output"]]
+
+    def test_curve_reads_only_the_fixed_control(self, tmp_path):
+        code, _, err, files = self.runs(tmp_path, "curve", None)
+        assert (code, err) == (0, "") and list(files) == ["out.csv"]
+
+
 class TestBadOptionValues:
     """A bad option value is a named configuration error (exit 1), never a traceback."""
 
@@ -364,22 +506,22 @@ class TestBadOptionValues:
             ({"mode": "curve", "scaled": SCALED_WAO,
               "options": {"axis": "delta21", "from": -1, "to": 3, "points": 10**30, "output": "c.csv"}},
              [f"'points' = {10**30} in options for mode 'curve': must be <= 2**48 = 281474976710656"]),
-            (MASS_STUDY_ARGV.format(-2, 6, 10**30), [f"'points' = {10**30} in options for mode 'mass-study': must be <="]),
+            (MASS_STUDY_ARGV.format(-2, 6, 10**30), [f"'points' = '{10**30}' in options for mode 'mass-study': must be <="]),
             (VALIDATE_ARGV.replace("--points 41", f"--points {10**30}"),
-             [f"'points' = {10**30} in options for mode 'validate': must be <="]),
-            (THRESHOLD_ARGV + f" --resolution {10**30}", [f"'resolution' = {10**30} in options for mode 'threshold': must be <="]),
-            (EVOLVE_ARGV + f" --tau-end 1 --stride {10**30}", [f"'stride' = {10**30} in options for mode 'evolve': must be <="]),
+             [f"'points' = '{10**30}' in options for mode 'validate': must be <="]),
+            (THRESHOLD_ARGV + f" --resolution {10**30}", [f"'resolution' = '{10**30}' in options for mode 'threshold': must be <="]),
+            (EVOLVE_ARGV + f" --tau-end 1 --stride {10**30}", [f"'stride' = '{10**30}' in options for mode 'evolve': must be <="]),
             (EVOLVE_ARGV + " --tau-end 1e300", ["tau_end - tau = 1e+300 is 1e+303 steps of dt = 0.001, more than 2**53"]),
             # the window of the threshold map, checked by the option table
             (THRESHOLD_ARGV.replace("--alpha-beta-to 10", "--alpha-beta-to=1e200"),
-             ["'alpha_beta_to' = 1e+200 in options for mode 'threshold': "
+             ["'alpha_beta_to' = '1e200' in options for mode 'threshold': "
               "must be finite and either <= 0 or in [2.2250738585072014e-308, 1e+150]"]),
             (THRESHOLD_ARGV.replace("--alpha-beta-from 0.01", "--alpha-beta-from=1e-320"),
-             ["'alpha_beta_from' = 1e-320 in options for mode 'threshold': must be finite and either <= 0"]),
+             ["'alpha_beta_from' = '1e-320' in options for mode 'threshold': must be finite and either <= 0"]),
             (THRESHOLD_ARGV.replace("--delta21-from -2", "--delta21-from=-1e101"),
-             ["'delta21_from' = -1e+101 in options for mode 'threshold': must be in [-1e+100, 1e+100]"]),
+             ["'delta21_from' = '-1e101' in options for mode 'threshold': must be in [-1e+100, 1e+100]"]),
             (THRESHOLD_ARGV.replace("--alpha-beta-from 0.01", "--alpha-beta-from=nan"),
-             ["'alpha_beta_from' = nan in options for mode 'threshold': must be finite and either <= 0"]),
+             ["'alpha_beta_from' = 'nan' in options for mode 'threshold': must be finite and either <= 0"]),
             # input files with a byte that is not UTF-8
             (("run --config cfg.json", "cfg.json",
               json.dumps({"mode": "spectrum", "scaled": SCALED_WAO, "options": {}}).encode().replace(b"spectrum", b"spec\xfftrum")),
@@ -430,6 +572,13 @@ class TestBadOptionValues:
              ["'format' = 'xml' in options for mode 'curve': must be one of csv, json"]),
             ({"mode": "spectrum", "scaled": SCALED_WAO, "options": {"eta": 2}},
              ["'eta' = 2 in options for mode 'spectrum': must be one of 0, 1"]),
+            # a flag's value is read by its row too, not by argparse
+            ("curve --axis bogus --from 0 --to 1 --points 5 -o x.csv",
+             ["'axis' = 'bogus' in options for mode 'curve': must be one of delta21, alpha_beta"]),
+            ("evolve --tau-end 1 --a1-seed x -o x.csv", ["'a1_seed' = 'x' in options for mode 'evolve': complex() arg is a malformed string"]),
+            ("spectrum --eta 2", ["'eta' = '2' in options for mode 'spectrum': must be one of 0, 1"]),
+            (CURVE_ARGV.replace("--points 5", "--points 5.7"), ["'points' = '5.7' in options for mode 'curve'"]),
+            ("spectrum --alpha-beta x", ["'alpha_beta' = 'x' in control-point flags: could not convert string to float: 'x'"]),
             # half of the --alpha/--beta pair
             ("spectrum --alpha 1 --eta 1", ["--alpha and --beta must be given together"]),
             ("spectrum --beta 1 --eta 1", ["--alpha and --beta must be given together"]),
@@ -440,6 +589,8 @@ class TestBadOptionValues:
             (EVOLVE_ARGV.replace("-o traj.csv", "-o missing/traj.csv") + " --tau-end 1", ["error: [Errno 2] No such file or directory: 'missing/traj.csv'\n"]),
             (MASS_STUDY_ARGV.replace("-o rev", "-o missing/rev").format(-2, 6, 5),
              ["error: [Errno 2] No such file or directory: 'missing/rev_r1.csv'\n"]),
+            ("spectrum --alpha-beta 1 -o missing/s.json", ["error: [Errno 2] No such file or directory: 'missing/s.json'\n"]),
+            (VALIDATE_ARGV + " -o missing/v.json", ["error: [Errno 2] No such file or directory: 'missing/v.json'\n"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
              "points-fraction", "eta-fraction", "scaled-eta-fraction", "scaled-delta21-string",
@@ -454,8 +605,11 @@ class TestBadOptionValues:
              "regimes-flag-word", "regimes-flag-number", "regimes-flag-list", "validate-regimes-flag", "mass-study-regimes-flag",
              "regimes-number", "regimes-word", "regimes-list", "ratios-flag-word", "ratios-flag-list-with-word",
              "ratios-number", "ratios-word", "ratios-list-with-string", "ratios-past-float",
-             "axis-not-a-choice", "format-not-a-choice", "eta-not-a-choice", "alpha-without-beta", "beta-without-alpha",
-             "curve-missing-dir", "curve-json-missing-dir", "threshold-missing-dir", "evolve-missing-dir", "mass-study-missing-dir"],
+             "axis-not-a-choice", "format-not-a-choice", "eta-not-a-choice",
+             "axis-flag-not-a-choice", "a1_seed-flag-word", "eta-flag-not-a-choice", "points-flag-fraction", "alpha-beta-flag-word",
+             "alpha-without-beta", "beta-without-alpha",
+             "curve-missing-dir", "curve-json-missing-dir", "threshold-missing-dir", "evolve-missing-dir", "mass-study-missing-dir",
+             "spectrum-missing-dir", "validate-missing-dir"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)
@@ -940,8 +1094,6 @@ class TestHelp:
         + [[mode, "--help"] for mode in ("spectrum", "curve", "threshold", "evolve", "mass-study", "validate", "plot-script", "run")]
         + [
             ["curve", "--axis", "delta21"],
-            ["curve", "--axis", "bogus", "--from", "0", "--to", "1", "--points", "5", "-o", "x.csv"],
-            ["evolve", "--tau-end", "1", "--a1-seed", "x", "-o", "x.csv"],
             ["curve", "--axis", "delta21", "--from", "0", "--to", "1", "--points", "5", "-o", "x.csv", "--bogus"],
             ["curve", "--axis", "delta21", "--from", "0", "--to", "1", "--points", "5", "-o", "x.csv", "--version"],
             ["plot-script", "a.csv", "--bogus", "-o", "x.gp"],

@@ -32,7 +32,9 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from carl._io import text_sink, write_json
 from carl._version import __version__
@@ -452,43 +454,99 @@ def execute(config: Dict) -> int:
 # ---------------------------------------------------------------------------
 
 
+_READ = 1 << 16  # characters read at a time by the result-file scan
+_PLOTTED = ("RAO", "WAO")  # the regimes a plot script draws
+
+
+def _line_blocks(f) -> Iterator[str]:
+    """The text of ``f`` in blocks of whole lines, each ending in a newline."""
+    rest = ""
+    while True:
+        text = f.read(_READ)
+        if not text:
+            break
+        cut = text.rfind("\n") + 1
+        if cut:
+            yield rest + text[:cut]
+            rest = text[cut:]
+        else:
+            rest += text
+    if rest:
+        yield rest + "\n"
+
+
 def _inspect_result_csv(path: str) -> Dict:
-    """Schema check a sweep CSV; returns meta + which regimes have data."""
+    """Schema check a sweep CSV; returns its meta, its plotted regimes and its row count.
+
+    The file is read as text (so CRLF and CR line ends read as LF, and
+    every byte must be UTF-8) in blocks of whole lines of about
+    :data:`_READ` characters. Each block is scanned as a byte array:
+    a line is empty, a ``#`` comment (parsed into meta) or, after the
+    header, a row. Only the comment lines, the header and the first row of
+    each regime are handled one at a time, so memory holds one block, its
+    arrays and at most the longest line, however many lines the file has.
+    ``regimes`` holds RAO and WAO only, the regimes the script draws, in
+    the order of their first rows.
+    """
     meta: Dict = {}
     header = None
-    regimes = []
+    firsts: Dict[str, Tuple[int, int]] = {}  # regime -> (block, offset) of its first row
     n_rows = 0
     try:
-        with open(path, "r", encoding="utf-8") as f:  # one line at a time, so memory does not grow with the file
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line[1:].strip()
+        with open(path, "r", encoding="utf-8") as f:
+            for number, text in enumerate(_line_blocks(f)):
+                data = text.encode()
+                view = np.frombuffer(b"\n" + data, np.uint8)
+                starts = view[:-1] == 10  # a line of data starts at byte i
+                heads = view[1:][starts]  # the first byte of each line
+                comments = np.flatnonzero(heads == 35)
+                skipped = int(np.count_nonzero(heads == 10)) + comments.size
+                begin = 0
+                if header is None:
+                    others = np.flatnonzero((heads != 10) & (heads != 35))
+                    if others.size:
+                        at = int(np.flatnonzero(starts)[others[0]])
+                        begin = data.index(b"\n", at)
+                        header = data[at:begin].decode()
+                        got, columns = [c.strip() for c in header.split(",")], _CSV_COLUMNS.split(",")
+                        if got != columns:  # the script reads the columns by position
+                            missing = [c for c in columns if c not in got]
+                            raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}" if missing
+                                              else f"{path}: result file columns must be {_CSV_COLUMNS}, got {','.join(got)}")
+                        skipped += 1
+                for at in np.flatnonzero(starts)[comments] if comments.size else ():  # one int at a time, not a list of them
+                    body = data[at + 1:data.index(b"\n", at)].decode().strip()
                     if ":" in body:
                         key, _, raw = body.partition(":")
                         try:
                             meta[key.strip()] = json.loads(raw.strip())
                         except json.JSONDecodeError:
                             meta[key.strip()] = raw.strip()
-                elif header is None:
-                    header = line
-                    got, columns = [c.strip() for c in line.split(",")], _CSV_COLUMNS.split(",")
-                    if got != columns:  # the script reads the columns by position
-                        missing = [c for c in columns if c not in got]
-                        raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}" if missing
-                                          else f"{path}: result file columns must be {_CSV_COLUMNS}, got {','.join(got)}")
-                else:
-                    n_rows += 1
-                    cells = line.split(",", 3)
-                    if len(cells) > 2 and cells[2] not in regimes:
-                        regimes.append(cells[2])
+                if header is None:
+                    continue
+                n_rows += heads.size - skipped
+                for regime in _PLOTTED:
+                    # by its first letter: a one-byte find runs as a memchr, and no other cell of a sweep file holds R or W
+                    name = regime.encode()
+                    hit = data.find(name[:1], begin) if regime not in firsts else -1
+                    while hit >= 0:  # the first row whose third cell is the regime; a hit elsewhere goes on after its line
+                        line_start, line_end = data.rfind(b"\n", 0, hit) + 1, data.index(b"\n", hit)
+                        cells = data[line_start:line_end].split(b",", 3)
+                        if data[line_start] != 35 and len(cells) > 2 and cells[2] == name:
+                            firsts[regime] = (number, hit)
+                            break
+                        hit = data.find(name[:1], line_end)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
     if n_rows == 0:
         raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
-    return {"meta": meta, "regimes": regimes, "rows": n_rows}
+    return {"meta": meta, "regimes": sorted(firsts, key=firsts.get), "rows": n_rows}
+
+
+def _spec(info: Dict) -> Dict:
+    """The ``spec`` meta of an inspected result file, or ``{}`` where it is missing or not a JSON object."""
+    spec = info["meta"].get("spec")
+    return spec if isinstance(spec, dict) else {}
 
 
 def _quoted(text: str) -> str:
@@ -512,7 +570,8 @@ def emit_plot_script(
     ``style='fig1'`` draws growth rate versus the swept axis, one curve per
     (file, regime), labeled by the fixed control value. ``style='mass-study'``
     labels curves by mass ratio and uses the solid-WAO / dashed-RAO
-    convention. RAO curves are dashed in both styles.
+    convention. RAO curves are dashed in both styles. A file whose meta
+    gives no number for its label is labeled ``fixed=?`` or ``m/m0=?``.
     """
     if style not in ("fig1", "mass-study"):
         raise ConfigError(f"style must be 'fig1' or 'mass-study', got {style!r}")
@@ -526,7 +585,7 @@ def emit_plot_script(
         "set key top right",
         "set grid",
     ]
-    axis = infos[0][1]["meta"].get("spec", {}).get("axis", "delta21")
+    axis = _spec(infos[0][1]).get("axis", "delta21")
     lines.append(f"set xlabel {_quoted(f'{axis} (scaled units)')}")
     lines.append("set ylabel 'growth rate (scaled units)'")
     plot_clauses = []
@@ -534,9 +593,11 @@ def emit_plot_script(
         if style == "mass-study":
             name, value, unknown = "m/m0", info["meta"].get("mass_ratio"), "m/m0=?"
         else:
-            name, value, unknown = "ab", info["meta"].get("spec", {}).get("fixed"), "fixed=?"
-        label = f"{name}={value:g}" if isinstance(value, (int, float)) else unknown
-        for regime in ("RAO", "WAO"):
+            name, value, unknown = "ab", _spec(info).get("fixed"), "fixed=?"
+        # a label only from a number: not a bool, nor an int past the float range, which :g cannot format
+        number = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+        label = f"{name}={value:g}" if number else unknown
+        for regime in _PLOTTED:
             if regime not in info["regimes"]:
                 continue
             dash = " dashtype 2" if regime == "RAO" else ""

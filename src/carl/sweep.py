@@ -276,9 +276,11 @@ def validate_sweep(spec: SweepSpec, n_samples: int, *, seed: int = 0) -> Validat
     coupled-mode equations from a probe seed ``A1 = 1e-6`` and compares the
     fitted late-time slope of ln|A1| with the spectral gamma. Above
     threshold the two must agree within a relative 0.01; below threshold
-    the fit must report a non-exponential signal. Boundary-flagged points
-    are excluded, as are unstable points with gamma below 0.05 (their fit
-    window would be impractically long); both are listed as skipped.
+    the fit must report a non-exponential signal, or a rate it cannot tell
+    from 0 (one that moves ln|A1| by at most its residual bound, 1e-2, over
+    the window). Boundary-flagged points are excluded, as are unstable
+    points with gamma below 0.05 (their fit window would be impractically
+    long); both are listed as skipped.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
@@ -315,7 +317,9 @@ def validate_sweep(spec: SweepSpec, n_samples: int, *, seed: int = 0) -> Validat
         if gamma > 0.0:
             status = "inconsistent" if fitted is None else "ok" if rel <= 0.01 else "mismatch"
         else:
-            status = "consistent_stable" if fitted is None else "inconsistent"
+            # a rate the fit cannot tell from 0: over the window it moves ln|A1| by no more than the fit's residual bound
+            stable = fitted is None or abs(fitted) * (window[1] - window[0]) <= 1e-2
+            status = "consistent_stable" if stable else "inconsistent"
         entries.append(ValidationEntry(axis_value, regime, gamma, fitted, status, rel))
     return ValidationReport(entries=tuple(entries), seed=seed)
 

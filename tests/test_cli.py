@@ -872,6 +872,25 @@ class TestValidateMode:
         assert len(doc["entries"]) == 4
         assert "validate_sweep" in stdout
 
+    @pytest.mark.parametrize(
+        "argv, counts",
+        [
+            ("--samples 1", {"consistent_stable": 1}),
+            ("--samples 6 --seed 3 --alpha-beta 1e-9", {"consistent_stable": 3, "skipped_slow": 3}),
+        ],
+        ids=["decoupled-default", "decoupled-small-product"],
+    )
+    def test_rate_the_fit_cannot_tell_from_zero_is_stable(self, capsys, tmp_path, argv, counts):
+        # below threshold at delta21 = 3 (and -1) the fit finds a rate of -2e-8 to -1.6e-11: no growth, not a mismatch
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(capsys, *f"validate --axis delta21 --from -1 --to 3 --points 5 {argv}".split(), "-o", str(out))
+        assert (code, err) == (0, "")
+        doc = json.loads(out.read_text())
+        assert doc["counts"] == counts
+        assert stdout.splitlines()[1:] == [f"wrote {out}"]
+        stable = [e for e in doc["entries"] if e["status"] == "consistent_stable"]
+        assert all(e["gamma_spectrum"] == 0.0 and 0.0 < abs(e["gamma_fit"]) * 40.0 <= 1e-2 for e in stable)
+
     def test_mismatch_lines_and_exit_code_2(self, capsys, tmp_path, monkeypatch):
         # every fit off by a half: each sample is a mismatch, printed and reported
         monkeypatch.setattr(carl.sweep, "fit_growth_rate", lambda traj, window: 1.5 * 60.0 / window[1])
@@ -891,6 +910,60 @@ class TestValidateMode:
                             f"spectrum gamma={entry['gamma_spectrum']:.6g}, fit={entry['gamma_fit']}")
             assert entry["gamma_fit"] == 1.5 * entry["gamma_spectrum"]
         assert lines[3:] == [f"wrote {out}"]
+
+
+def _inspect_by_lines(path):
+    """The per-line scan the block reader replaced, its regimes restricted to RAO and WAO: the reference it must match."""
+    meta, header, regimes, n_rows = {}, None, [], 0
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for line in f:
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if ":" in body:
+                        key, _, raw = body.partition(":")
+                        try:
+                            meta[key.strip()] = json.loads(raw.strip())
+                        except json.JSONDecodeError:
+                            meta[key.strip()] = raw.strip()
+                elif header is None:
+                    header = line
+                    got, columns = [c.strip() for c in line.split(",")], carl.sweep._CSV_COLUMNS.split(",")
+                    if got != columns:
+                        missing = [c for c in columns if c not in got]
+                        raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}" if missing
+                                          else f"{path}: result file columns must be {carl.sweep._CSV_COLUMNS}, got {','.join(got)}")
+                else:
+                    n_rows += 1
+                    cells = line.split(",", 3)
+                    if len(cells) > 2 and cells[2] in ("RAO", "WAO") and cells[2] not in regimes:
+                        regimes.append(cells[2])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
+    if n_rows == 0:
+        raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
+    return {"meta": meta, "regimes": regimes, "rows": n_rows}
+
+
+def _outcome(inspect, path):
+    """What ``inspect`` returns as JSON text, which refuses a numpy integer in place of an int, or its error."""
+    try:
+        return json.dumps(inspect(path))
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+# the lines a result file is drawn from: meta, comments and blank lines anywhere, the header (padded or not,
+# or missing), rows with and without a regime, lookalike regimes and non-ASCII cells
+_RESULT_LINES = [
+    '# spec: {"axis": "delta21", "fixed": 2.5}', "# mass_ratio: 10", "# note: not json", "#bare", "#: no key", "  # indented",
+    "", "", carl.sweep._CSV_COLUMNS, carl.sweep._CSV_COLUMNS.replace(",", " , "), "delta21,0.5",
+    *(f"delta21,0.5,{r},0.1,II,0,0,0,0,0,0" for r in ("RAO", "WAO", "RAO", "WAO", "rao", " RAO ", "RAOX", ",RAO", "WAO,")),
+    "delta21,RAO,WAO,0.1", "delta21,WAO,x", "#,1,RAO", "# spec: ,WAO", "δ21,0.5,WAO,γ", "é,RAO,RAO", "\u2028,\x85,RAO",
+]
 
 
 class TestPlotScript:
@@ -994,6 +1067,33 @@ class TestPlotScript:
         assert not (tmp_path / "x.gp").exists()
 
     @pytest.mark.parametrize(
+        "style, meta, label",
+        [
+            ("fig1", "# spec: 5", "fixed=?"),
+            ("fig1", "# spec: not json", "fixed=?"),
+            ("fig1", "# spec: [1, 2]", "fixed=?"),
+            ("fig1", '# spec: {"fixed": true}', "fixed=?"),
+            ("fig1", '# spec: {"fixed": "2"}', "fixed=?"),
+            ("fig1", '# spec: {"fixed": 1' + "0" * 400 + "}", "fixed=?"),
+            ("fig1", '# spec: {"fixed": 2.5}', "ab=2.5"),
+            ("mass-study", "# mass_ratio: true", "m/m0=?"),
+            ("mass-study", "# mass_ratio: 10", "m/m0=10"),
+        ],
+        ids=["spec-int", "spec-text", "spec-list", "fixed-bool", "fixed-text", "fixed-past-float", "fixed-float",
+             "ratio-bool", "ratio-int"],
+    )
+    def test_label_only_from_a_number(self, capsys, tmp_path, style, meta, label):
+        # meta that is not a JSON object, or a value that is not a number, takes the fallback label and axis
+        path = tmp_path / "r.csv"
+        path.write_text(f"{meta}\n{self.HEADER}\n{self.ROW.format('WAO')}\n")
+        script = tmp_path / "x.gp"
+        code, _, err = run_cli(capsys, "plot-script", str(path), "--style", style, "-o", str(script))
+        assert (code, err) == (0, "")
+        text = script.read_text()
+        assert "set xlabel 'delta21 (scaled units)'" in text
+        assert text.count("with lines") == 1 and f"title 'WAO {label}'" in text
+
+    @pytest.mark.parametrize(
         "text, meta, regimes, rows",
         [
             # a '#' line after the header, and one without a colon
@@ -1061,6 +1161,25 @@ class TestPlotScript:
         assert code == 1
         assert "no data rows" in err
         assert not script.exists()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        lines=st.lists(st.tuples(st.sampled_from(_RESULT_LINES), st.sampled_from(["\n", "\r\n", "\r"])), max_size=14),
+        final=st.booleans(),
+    )
+    def test_block_reader_matches_the_per_line_scan(self, lines, final):
+        # reads of 1, 2 and 7 characters cut lines and CRLF pairs across blocks
+        text = "".join(line + end for line, end in lines)
+        if lines and not final:
+            text = text[:-len(lines[-1][1])]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "r.csv")
+            with open(path, "wb") as f:
+                f.write(text.encode("utf-8"))
+            expected = _outcome(_inspect_by_lines, path)
+            for size in (1, 2, 7, carl.cli._READ):
+                mp.setattr(carl.cli, "_READ", size)
+                assert _outcome(_inspect_result_csv, path) == expected, size
 
 
 class TestHelp:

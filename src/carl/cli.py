@@ -11,23 +11,25 @@ document is
      "options":  {... mode-specific keys, mirroring the flags ...}}
 
 The option tables declare every flag and config key: :data:`POINT` the
-flags of the control point, :data:`SCALED` and :data:`PHYSICAL` the keys of
-the two parameter blocks, and :data:`MODES` each mode's options. One row
-gives its flag(s) (a block key has none), config key, type, default (or
-that it is required), help and choices. argparse checks only the shape of
-a command line: which flags are given, that each has one value, and that
-the required ones are there. Every value is read by one resolver,
-:func:`_resolve`, against its row: the row's type parses the flag text and
-the config value alike, its choices check it, and only its default fills a
-key left out. A flag run is the config document of the flags given, its
-options holding their text, so ``carl run --config`` of that document is
-the same run. Exit codes: 0 success, 1 configuration error, 2 numerical
-failure (integrator step rejection, or a state past the float range).
+flags of the control point, :data:`SCALED` and :data:`PHYSICAL` the keys
+of the two parameter blocks, and :data:`MODES` each mode's options. One
+row gives its flag(s) (a block key has none), config key, type, default
+(or that it is required), help and choices. A well-formed flag run is read
+off its mode's rows; argparse writes every help, usage and error text, and
+parses any other command line, ``plot-script`` and ``run``, checking only
+its shape. Every value is read by one resolver, :func:`_resolve`, against
+its row: the row's type parses the flag text and the config value alike,
+its choices check it, and only its default fills a key left out. A flag
+run is the config document of the flags given, its options holding their
+text, so ``carl run --config`` of that document is the same run. Exit
+codes: 0 success, 1 configuration error, 2 numerical failure (integrator
+step rejection, or a state past the float range).
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import math
 import sys
@@ -68,7 +70,9 @@ class Option(NamedTuple):
 
     ``type`` parses the flag text and the config value alike, ``choices``
     checks the result, and ``default`` fills a key left out, all in
-    :func:`_resolve`; argparse parses, checks and defaults no value.
+    :func:`_resolve`. The flags of the rows read a well-formed flag run in
+    :func:`_parse_args`; argparse, given them in :func:`_add_option`, writes
+    help, usage and errors, and parses, checks and defaults no value.
     """
 
     flags: Tuple[str, ...]
@@ -461,18 +465,34 @@ _PLOTTED = ("RAO", "WAO")  # the regimes a plot script draws
 def _line_blocks(f) -> Iterator[str]:
     """The text of ``f`` in blocks of whole lines, each ending in a newline."""
     rest = ""
-    while True:
-        text = f.read(_READ)
-        if not text:
-            break
+    while text := f.read(_READ):
         cut = text.rfind("\n") + 1
         if cut:
             yield rest + text[:cut]
-            rest = text[cut:]
-        else:
-            rest += text
+            rest = ""
+        rest += text[cut:]
     if rest:
         yield rest + "\n"
+
+
+def _bad_bytes(path: str, exc: UnicodeDecodeError) -> str:
+    """The text of ``exc``, from a text read of ``path``, naming its bytes by their offset in the file, not in the read.
+
+    The file is decoded again, :data:`_READ` bytes at a time; the decoder holds back a sequence a read cuts.
+    """
+    decoder, offset, data = codecs.getincrementaldecoder("utf-8")(), 0, None
+    try:
+        with open(path, "rb") as f:
+            while data != b"":
+                data = f.read(_READ)
+                base = offset - len(decoder.getstate()[0])  # the offset of the bytes held back, which the decoder prefixes
+                decoder.decode(data, final=not data)
+                offset += len(data)
+    except UnicodeDecodeError as found:
+        start, bad = base + found.start, found.object[found.start:found.end]
+        where = f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1 else f"bytes in position {start}-{start + len(bad) - 1}"
+        return f"'utf-8' codec can't decode {where}: {found.reason}"
+    return str(exc)  # the file changed since the text read
 
 
 def _inspect_result_csv(path: str) -> Dict:
@@ -489,9 +509,8 @@ def _inspect_result_csv(path: str) -> Dict:
     the order of their first rows.
     """
     meta: Dict = {}
-    header = None
+    header, n_rows = None, 0
     firsts: Dict[str, Tuple[int, int]] = {}  # regime -> (block, offset) of its first row
-    n_rows = 0
     try:
         with open(path, "r", encoding="utf-8") as f:
             for number, text in enumerate(_line_blocks(f)):
@@ -537,7 +556,8 @@ def _inspect_result_csv(path: str) -> Dict:
                             break
                         hit = data.find(name[:1], line_end)
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
+        why = _bad_bytes(path, exc) if isinstance(exc, UnicodeDecodeError) else exc
+        raise ConfigError(f"cannot read result file {path!r}: {why}") from exc
     if n_rows == 0:
         raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
     return {"meta": meta, "regimes": sorted(firsts, key=firsts.get), "rows": n_rows}
@@ -560,11 +580,7 @@ def _quoted(text: str) -> str:
     return "'" + text.replace("'", "''") + "'"
 
 
-def emit_plot_script(
-    result_paths: Sequence[str],
-    style: str,
-    out_path: str,
-) -> None:
+def emit_plot_script(result_paths: Sequence[str], style: str, out_path: str) -> None:
     """Write a gnuplot script rendering sweep CSVs.
 
     ``style='fig1'`` draws growth rate versus the swept axis, one curve per
@@ -693,16 +709,21 @@ _VALUE_FLAGS = frozenset(f for o in POINT + tuple(o for m in MODES.values() for 
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse a command line, building only the parser of the subcommand it names.
+    """Parse a command line: a well-formed flag run of a table mode off its rows, anything else by argparse.
 
-    A subcommand's arguments are parsed by a parser of their own, as the full
-    parser's subparser would parse them, so their help and their errors read
-    the same. A command line that does not start with a subcommand, or leaves
-    arguments over, goes to the full parser, whose top-level help, version
-    and "unrecognized arguments" message it then gets. A negative number
-    after a flag of the tables is passed as ``--flag=value``: argparse alone
-    reads ``-2e-1``, ``-1e-320`` or ``-inf`` there as a flag. No parser takes
-    an abbreviated flag, so every flag is spelled in full, as a config key is.
+    A negative number after a flag of the tables is first passed as
+    ``--flag=value``: argparse alone reads ``-2e-1``, ``-1e-320`` or ``-inf``
+    there as a flag. A run is read off the rows, with no parser built, when
+    each token is a row's flag and a value not starting with ``-``, or
+    ``--flag=value`` with a value other than ``--``, and every required row
+    is given; the last of repeated flags wins, and the namespace is
+    argparse's. These go to argparse: ``-h``, ``--version``, an unknown or
+    abbreviated flag (none is taken: a flag is spelled in full, as a config
+    key is), ``-ox``, ``-o=x``, a missing value or required flag, no
+    subcommand, ``plot-script`` and ``run``. The subcommand's own parser
+    reads them as the full parser's subparser would, so help and errors read
+    the same; a line without a subcommand, or with arguments left over, goes
+    to the full parser.
     """
     joined: List[str] = []
     for token in argv:
@@ -716,6 +737,18 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
                 continue
         joined.append(token)
     argv = joined
+    if argv and argv[0] in MODES:
+        rows = (POINT if MODES[argv[0]].block else ()) + MODES[argv[0]].options
+        keys, given, tokens = {flag: o.key for o in rows for flag in o.flags}, {}, iter(argv[1:])
+        for token in tokens:
+            flag, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
+            value = value if eq else next(tokens, "-")  # a missing value reads as "-", which goes to argparse
+            if flag not in keys or value == "--" or not eq and value.startswith("-"):
+                break
+            given[keys[flag]] = value
+        else:
+            if all(o.key in given for o in rows if o.default is REQUIRED):
+                return argparse.Namespace(command=argv[0], **{o.key: given.get(o.key) for o in rows})
     if argv and argv[0] in _COMMANDS:
         parser = argparse.ArgumentParser(prog=f"carl {argv[0]}", allow_abbrev=False)
         _add_arguments(parser, argv[0])
@@ -730,10 +763,7 @@ def _config_from_args(args: argparse.Namespace) -> Dict:
     """The config document a flag run stands for: the text of each option flag given, and the flags' block."""
     mode = MODES[args.command]
     options = {o.key: getattr(args, o.key) for o in mode.options if getattr(args, o.key) is not None}
-    config = {"mode": args.command, "options": options}
-    if mode.block:
-        config.update(_block_from_args(args))
-    return config
+    return {"mode": args.command, "options": options, **(_block_from_args(args) if mode.block else {})}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

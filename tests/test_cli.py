@@ -1,5 +1,6 @@
 """Command-line interface tests: flags, config round-trip, exit codes, plot scripts."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import carl
@@ -703,6 +704,100 @@ class TestNegativeValues:
             assert runs[0][0] == 0 and runs[0][2]
 
 
+def _negatives_joined(argv):
+    """``argv`` as ``_parse_args`` hands it to argparse: a negative number after a flag of the tables as ``--flag=value``."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in carl.cli._VALUE_FLAGS and re.fullmatch(r"-(inf|\d*\.?\d+(e-?\d+)?)", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
+def _parsed(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code, with what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an argparse parser was built")
+
+
+# values of every kind: numbers, negative ones in exponent notation, empty, dashes, help, unknown flags and text
+_VALUE_MENU = ["1", "0.5", "-2e-1", "-1e-320", "-inf", "", "-", "--", "-h", "--bogus", "x.csv", "delta21", "1,10", "a=b"]
+_STRAY_TOKENS = ["-h", "--help", "--version", "--bogus", "--", "-ox.csv", "-o=x.csv", "x.csv", "--delta", "--output="]
+
+
+def _command_lines(name):
+    """Command lines of mode ``name``: its flags, spaced or ``--flag=value``, bare or stray tokens, its required flags or not."""
+    rows = (POINT if MODES[name].block else ()) + MODES[name].options
+    flags = [flag for o in rows for flag in o.flags]
+    value = st.one_of(st.just("1"), st.sampled_from(_VALUE_MENU))
+    group = st.one_of(
+        st.tuples(st.sampled_from(flags), value).map(list),
+        st.tuples(st.sampled_from([f for f in flags if f.startswith("--")]), value).map(lambda fv: ["=".join(fv)]),
+        st.sampled_from(_STRAY_TOKENS + flags).map(lambda token: [token]),
+    )
+    required = [[o.flags[-1], "1"] for o in rows if o.default is REQUIRED]
+    groups = st.tuples(st.lists(group, max_size=4), st.booleans()).flatmap(
+        lambda drawn: st.permutations(drawn[0] + (required if drawn[1] else [])))
+    return groups.map(lambda drawn: [name] + [token for g in drawn for token in g])
+
+
+class TestFlagRunReadOffTheRows:
+    """A well-formed flag run is read off its mode's rows; the namespace, the exit code and every printed byte are argparse's."""
+
+    THRESHOLD = "threshold --eta 1 --delta21-from -2 --delta21-to 6 --alpha-beta-from 0.01 --alpha-beta-to 10"
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(argv=st.one_of(*(_command_lines(name) for name in MODES)))
+    @example(argv=["spectrum", "--alpha=--", "--beta", "1"])
+    @example(argv=[*THRESHOLD.split(), "-o=x.csv"])
+    @example(argv=[*THRESHOLD.split(), "-ox.csv"])
+    @example(argv=["spectrum", "--output", "-"])
+    @example(argv=["curve", "--axis", "delta21", "--from", "0", "--to", "1", "--points", "5", "--points=7", "--points", "9", "-o", "c.csv"])
+    @example(argv=["spectrum", "--delta21", "-2e-1"])
+    @example(argv=["spectrum", "--delta21=-inf"])
+    @example(argv=[*THRESHOLD.split(), "-o", "x.csv", "-h"])
+    def test_rows_read_what_argparse_reads(self, argv):
+        assert _parsed(_parse_args, argv) == _parsed(build_parser().parse_args, _negatives_joined(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spectrum --delta21=0.5 --alpha-beta 1 --eta 1 -o spectrum.json",
+            "curve --axis alpha_beta --from 0.1 --to=2 --points 5 --delta21 -5e-1 --regimes wao --format json --output curve.json",
+            THRESHOLD + " --resolution 32 --resolution=64 -o thr.csv",
+            "evolve --delta21 0 --alpha-beta 1 --eta 1 --tau-end 2 --a1-seed=-1e-6 -o traj.csv",
+            "mass-study --alpha-beta-base 5 --ratios 1,10 --points 51 -o fig2",
+            "validate --axis delta21 --from -1 --to 3 --points 41 --alpha-beta 1 --samples 4 --seed 1 -o report.json",
+        ],
+        ids=list(MODES),
+    )
+    def test_a_well_formed_run_builds_no_parser(self, capsys, tmp_path, monkeypatch, argv):
+        # the reference run parses by argparse, as every run did before the rows read a flag run
+        runs = []
+        for how in ("argparse", "rows"):
+            (tmp_path / how).mkdir()
+            monkeypatch.chdir(tmp_path / how)
+            with monkeypatch.context() as mp:
+                if how == "argparse":
+                    mp.setattr(carl.cli, "_parse_args", lambda words: build_parser().parse_args(_negatives_joined(words)))
+                else:
+                    mp.setattr(argparse, "ArgumentParser", _refuse)
+                code, out, err = run_cli(capsys, *argv.split())
+            runs.append((code, out, err, sorted((p.name, p.read_bytes()) for p in (tmp_path / how).iterdir())))
+        assert runs[0] == runs[1]
+        assert runs[1][0] == 0 and runs[1][3]
+
+
 class TestPhysicalBlock:
     def test_physical_file_flag(self, capsys, tmp_path):
         blob = tmp_path / "phys.json"
@@ -1140,6 +1235,37 @@ class TestPlotScript:
             tracemalloc.stop()
         assert info["rows"] == 10**5 and info["regimes"] == ["RAO", "WAO"]
         assert peak <= 1e6
+
+    def test_decode_error_names_the_byte_in_the_file(self, capsys, tmp_path):
+        # a text read names the offset within the read it decodes, not within the file
+        path = tmp_path / "bad.csv"
+        code, _, _ = run_cli(capsys, "curve", "--axis", "delta21", "--from", "-2", "--to", "6", "--points", "801", "--alpha-beta", "1", "-o", str(path))
+        data = bytearray(path.read_bytes())
+        assert code == 0 and len(data) > 100000
+        data[100000] = 0xFF
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "plot-script", str(path), "-o", str(tmp_path / "x.gp"))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot read result file {str(path)!r}: 'utf-8' codec can't decode byte 0xff in position 100000: invalid start byte\n"
+
+    @pytest.mark.parametrize(
+        "tail",
+        [b"\xe2\x82A\n", b"\xff\n", b"\xed\xa0\x80\n", b"\xf0\x9f\x98", b"\xc3"],
+        ids=["cut-sequence", "invalid-start", "surrogate", "truncated-at-end", "one-byte-at-end"],
+    )
+    @pytest.mark.parametrize("size", [1, 2, 7, 8])
+    def test_decode_error_across_a_read_edge(self, tmp_path, monkeypatch, tail, size):
+        # reads of 2, 7 and 8 bytes end at byte 56, inside a sequence from byte 55; its bytes are named at their offset
+        # in the file, as a decode of the whole file names them
+        data = self.HEADER.encode()[:55] + tail
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        monkeypatch.setattr(carl.cli, "_READ", size)
+        with pytest.raises(ConfigError) as exc:
+            _inspect_result_csv(str(path))
+        assert str(exc.value) == f"cannot read result file {str(path)!r}: {whole.value}"
 
     @pytest.mark.parametrize("regime", ["rao", " RAO ", "wao"])
     def test_no_plottable_rows_is_error(self, capsys, tmp_path, regime):

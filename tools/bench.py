@@ -18,12 +18,15 @@ quartiles, the pairs the change wins (ties count for neither side), whether
 the gain rule holds (the change wins at least nine tenths of the pairs and
 its median is better by more than the distance between the base's
 quartiles) and whether the change's median is worse than the base's by more
-than the metric's bound in ``BENCHMARK.json``. ``-o FILE`` writes the same
-table as JSON, with the platform, the Python and numpy versions, both
-commits and ``PYTHONDONTWRITEBYTECODE``. Only the standard library is used.
+than the metric's bound in ``BENCHMARK.json``. It also prints each side's
+size: the ``wc -l`` total of ``src/carl/*.py`` and the code lines that
+``tools/loc.py`` counts. ``-o FILE`` writes the same as JSON, with the
+platform, the Python and numpy versions, both commits and
+``PYTHONDONTWRITEBYTECODE``. Only the standard library is used.
 """
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -58,6 +61,16 @@ def run(tree: str, workload: str, seed: int, seconds: float) -> dict:
     if summary is None or summary["correct"] is not True or summary["failed"] != 0:
         raise SystemExit(f"bench: {workload} in {tree} did not run correctly:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return {name: metric["value"] for name, metric in summary["metrics"].items()}
+
+
+def size(tree: str) -> dict:
+    """The library's size in ``tree``: the ``wc -l`` total of ``src/carl/*.py``, and the code lines ``tools/loc.py`` counts."""
+    lines = 0
+    for path in glob.glob(os.path.join(tree, "src", "carl", "*.py")):
+        with open(path, "rb") as f:
+            lines += f.read().count(b"\n")
+    loc = subprocess.run([sys.executable, os.path.join(ROOT, "tools", "loc.py")], cwd=tree, check=True, capture_output=True, text=True)
+    return {"lines": lines, "code_lines": int(loc.stdout.splitlines()[-1].split()[0])}
 
 
 def spread(values: list) -> dict:
@@ -96,6 +109,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="carl-bench-") as base_tree:
         extract(args.base, base_tree)
         trees = {"base": base_tree, "change": ROOT}
+        sizes = {side: size(tree) for side, tree in trees.items()}
         for pair in range(args.pairs):
             order = ("base", "change") if pair % 2 == 0 else ("change", "base")
             for w in workloads:
@@ -115,6 +129,7 @@ def main(argv=None) -> int:
         for name, row in rows.items():
             print(line(w, name, side(row["base"]), side(row["change"]), f"{row['wins']}/{row['pairs']}",
                        "yes" if row["gain"] else "no", "YES" if row["over_bound"] else "no"))
+    print("src/carl: " + ", ".join(f"{s} {n['lines']} lines, {n['code_lines']} code lines" for s, n in sizes.items()))
     if args.output:
         numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"], capture_output=True, text=True)
         doc = {
@@ -130,6 +145,7 @@ def main(argv=None) -> int:
             "pairs": args.pairs,
             "seed": args.seed,
             "seconds": seconds,
+            "size": sizes,
             "workloads": table,
         }
         with open(args.output, "w", encoding="utf-8") as f:

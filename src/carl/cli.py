@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Every subcommand but ``plot-script`` and ``run`` itself can equivalently
-be driven by a JSON config file via ``carl run --config FILE``; the config
-document is
+Every subcommand but ``run`` itself can equivalently be driven by a JSON
+config file via ``carl run --config FILE``; the config document is
 
     {"mode": "<subcommand>",
      "scaled":   {"delta21": ..., "alpha": ..., "beta": ..., "eta": ...}   (xor)
@@ -12,18 +11,18 @@ document is
 
 The option tables declare every flag and config key: :data:`POINT` the
 flags of the control point, :data:`SCALED` and :data:`PHYSICAL` the keys
-of the two parameter blocks, and :data:`MODES` each mode's options. One
-row gives its flag(s) (a block key has none), config key, type, default
-(or that it is required), help and choices. A well-formed flag run is read
-off its mode's rows; argparse writes every help, usage and error text, and
-parses any other command line, ``plot-script`` and ``run``, checking only
-its shape. Every value is read by one resolver, :func:`_resolve`, against
-its row: the row's type parses the flag text and the config value alike,
-its choices check it, and only its default fills a key left out. A flag
-run is the config document of the flags given, its options holding their
-text, so ``carl run --config`` of that document is the same run. Exit
-codes: 0 success, 1 configuration error, 2 numerical failure (integrator
-step rejection, or a state past the float range).
+of the two parameter blocks, :data:`MODES` each mode's options and
+:data:`RUN` ``run``'s. One row gives its flag(s) (a block key and a
+positional argument have none), config key, type, default (or that it is
+required), help and choices. A well-formed command line is read off its
+subcommand's rows; argparse writes every help, usage and error text, and
+parses any other line, checking only its shape. Every value is read by one
+resolver, :func:`_resolve`, against its row: the row's type parses the flag
+text and the config value alike, its choices check it, and only its default
+fills a key left out. A flag run is the config document of the flags given,
+its options holding their text, so ``carl run --config`` of that document
+is the same run. Exit codes: 0 success, 1 configuration error, 2 numerical
+failure (integrator step rejection, or a state past the float range).
 """
 
 from __future__ import annotations
@@ -70,9 +69,10 @@ class Option(NamedTuple):
 
     ``type`` parses the flag text and the config value alike, ``choices``
     checks the result, and ``default`` fills a key left out, all in
-    :func:`_resolve`. The flags of the rows read a well-formed flag run in
-    :func:`_parse_args`; argparse, given them in :func:`_add_option`, writes
-    help, usage and errors, and parses, checks and defaults no value.
+    :func:`_resolve`. A row without flags in an option table is a positional
+    argument of one or more words. The rows read a well-formed command line
+    in :func:`_parse_args`; argparse, given them in :func:`_add_rows`,
+    writes help, usage and errors, and parses, checks and defaults no value.
     """
 
     flags: Tuple[str, ...]
@@ -119,6 +119,9 @@ def _checked(convert: Callable, ok: Callable, text: str) -> Callable:
     return parse
 
 
+# a path or a word, text only: str() would make a file name of a config's list, or of the [] argparse reads --flag=-- as
+_TEXT = _checked(lambda v: v, lambda v: isinstance(v, str), "must be text")
+_PATHS = _checked(lambda v: v, lambda v: isinstance(v, list) and v and all(isinstance(p, str) for p in v), "must be a non-empty list of paths")
 ETA = Option(("--eta",), "eta", _integer, None, "regime flag: 0 = RAO (classical), 1 = WAO (quantum)", (0, 1))
 
 # the keys of the config blocks, in the order of the fields of ScaledParams and PhysicalParams;
@@ -140,7 +143,7 @@ POINT = (
     Option(("--alpha-beta",), "alpha_beta", float, 0.0, "gain control product alpha*beta (scaled, dimensionless)"),
     Option(("--alpha",), "alpha", float, None, "pump-intensity control alpha (scaled; use with --beta)"),
     Option(("--beta",), "beta", float, None, "density control beta (scaled; use with --alpha)"),
-    Option(("--physical",), "physical", str, None, f"JSON file with SI-unit parameters (keys {','.join(o.key for o in PHYSICAL)}) instead of scaled flags", metavar="FILE"),
+    Option(("--physical",), "physical", _TEXT, None, f"JSON file with SI-unit parameters (keys {','.join(o.key for o in PHYSICAL)}) instead of scaled flags", metavar="FILE"),
 )
 
 
@@ -349,6 +352,12 @@ def _run_validate(params: ScaledParams, options: Dict) -> int:
     return 0 if not report.mismatches() else 2
 
 
+def _run_plot_script(_: None, options: Dict) -> int:
+    emit_plot_script(options["results"], options["style"], options["output"])
+    print(f"wrote {options['output']}")
+    return 0
+
+
 _AXIS = ("delta21", "alpha_beta")
 _FORMAT = ("csv", "json")
 _REGIMES = {"rao": ("RAO",), "wao": ("WAO",), "both": ("RAO", "WAO")}
@@ -357,18 +366,18 @@ _REGIMES_OPTION = Option(("--regimes",), "regimes", _parse_regimes, _REGIMES["bo
 MODES: Dict[str, Mode] = {
     "spectrum": Mode(
         "eigenvalues, stability case and growth rate at one control point", _run_spectrum, True, (),
-        (ETA, Option(("-o", "--output"), "output", str, None, "optional JSON output path")),
+        (ETA, Option(("-o", "--output"), "output", _TEXT, None, "optional JSON output path")),
     ),
     "curve": Mode(
         "growth-rate curve along one control axis (CSV/JSON)", _run_curve, True, ("points",),
         (
-            Option(("--axis",), "axis", str, REQUIRED, "swept control (scaled units)", _AXIS),
+            Option(("--axis",), "axis", _TEXT, REQUIRED, "swept control (scaled units)", _AXIS),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled units)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled units)"),
             Option(("--points",), "points", _SIZE, REQUIRED, "number of grid points (>= 2)"),
             _REGIMES_OPTION,
-            Option(("-o", "--output"), "output", str, REQUIRED, "output file path"),
-            Option(("--format",), "format", str, "csv", "output format (default csv)", _FORMAT),
+            Option(("-o", "--output"), "output", _TEXT, REQUIRED, "output file path"),
+            Option(("--format",), "format", _TEXT, "csv", "output format (default csv)", _FORMAT),
         ),
     ),
     "threshold": Mode(
@@ -380,7 +389,7 @@ MODES: Dict[str, Mode] = {
             Option(("--alpha-beta-from",), "alpha_beta_from", _PRODUCT, REQUIRED, "alpha*beta window start (scaled)"),
             Option(("--alpha-beta-to",), "alpha_beta_to", _PRODUCT, REQUIRED, "alpha*beta window stop (scaled)"),
             Option(("--resolution",), "resolution", _SIZE, 256, "number of delta21 grid points (>= 16, default 256)"),
-            Option(("-o", "--output"), "output", str, REQUIRED, "output CSV path (branch_id,delta21,alpha_beta)"),
+            Option(("-o", "--output"), "output", _TEXT, REQUIRED, "output CSV path (branch_id,delta21,alpha_beta)"),
         ),
     ),
     "evolve": Mode(
@@ -393,7 +402,7 @@ MODES: Dict[str, Mode] = {
             Option(("--a1-seed",), "a1_seed", _complex, 1e-6, "initial probe amplitude A1(0), real (default 1e-6)"),
             Option(("--b0",), "b0", _complex, 0.0, "initial bunching B(0), real (default 0)"),
             Option(("--bdot0",), "bdot0", _complex, 0.0, "initial dB/dtau, real (default 0)"),
-            Option(("-o", "--output"), "output", str, REQUIRED, "trajectory CSV path"),
+            Option(("-o", "--output"), "output", _TEXT, REQUIRED, "trajectory CSV path"),
         ),
     ),
     "mass-study": Mode(
@@ -405,24 +414,35 @@ MODES: Dict[str, Mode] = {
             Option(("--to",), "to", float, 6.0, "detuning stop in reference units (default 6)"),
             Option(("--points",), "points", _SIZE, 801, "grid points (default 801)"),
             _REGIMES_OPTION,
-            Option(("-o", "--output"), "output", str, REQUIRED, "output stem; files <stem>_r<ratio>.<fmt>"),
-            Option(("--format",), "format", str, "csv", "output format (default csv)", _FORMAT),
+            Option(("-o", "--output"), "output", _TEXT, REQUIRED, "output stem; files <stem>_r<ratio>.<fmt>"),
+            Option(("--format",), "format", _TEXT, "csv", "output format (default csv)", _FORMAT),
         ),
     ),
     "validate": Mode(
         "cross-check sweep growth rates against time-domain fits", _run_validate, True, ("points",),
         (
-            Option(("--axis",), "axis", str, REQUIRED, "swept control (scaled units)", _AXIS),
+            Option(("--axis",), "axis", _TEXT, REQUIRED, "swept control (scaled units)", _AXIS),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled)"),
             Option(("--points",), "points", _SIZE, REQUIRED, "number of grid points"),
             _REGIMES_OPTION,
             Option(("--samples",), "samples", _integer, REQUIRED, "number of random grid samples to validate"),
             Option(("--seed",), "seed", _integer, 0, "RNG seed for sample selection (default 0)"),
-            Option(("-o", "--output"), "output", str, None, "optional JSON report path"),
+            Option(("-o", "--output"), "output", _TEXT, None, "optional JSON report path"),
+        ),
+    ),
+    "plot-script": Mode(
+        "emit a gnuplot script for sweep result files", _run_plot_script, False, (),
+        (
+            Option((), "results", _PATHS, REQUIRED, "sweep CSV file(s) produced by curve/mass-study"),
+            Option(("--style",), "style", _TEXT, "fig1", "labeling convention", ("fig1", "mass-study")),
+            Option(("-o", "--output"), "output", _TEXT, REQUIRED, "gnuplot script path"),
         ),
     ),
 }
+# run is no mode and has no handler: _config_from_args reads its config file as the document to execute
+RUN = Mode("execute a JSON config file (flag-equivalent)", None, False, (),
+           (Option(("--config",), "config", _TEXT, REQUIRED, "path to the JSON config document"),))
 
 
 def execute(config: Dict) -> int:
@@ -635,10 +655,12 @@ def emit_plot_script(result_paths: Sequence[str], style: str, out_path: str) -> 
 # ---------------------------------------------------------------------------
 
 
-def _add_option(sub: argparse.ArgumentParser, o: Option) -> None:
+def _add_rows(sub: argparse.ArgumentParser, rows: Sequence[Option]) -> None:
     # no type, choices or default: the flag's text goes into the config as given, and _resolve reads it by the row
-    metavar = "{" + ",".join(map(str, o.choices)) + "}" if o.choices else o.metavar
-    sub.add_argument(*o.flags, dest=o.key, required=o.default is REQUIRED, help=o.help, metavar=metavar)
+    for o in rows:
+        metavar = "{" + ",".join(map(str, o.choices)) + "}" if o.choices else o.metavar
+        shape = {"dest": o.key, "required": o.default is REQUIRED} if o.flags else {"nargs": "+"}
+        sub.add_argument(*(o.flags or (o.key,)), **shape, help=o.help, metavar=metavar)
 
 
 def _load_json(path: str, what: str):
@@ -666,26 +688,8 @@ def _block_from_args(args: argparse.Namespace) -> Dict:
     return {"scaled": {"delta21": point["delta21"], "alpha": alpha, "beta": beta, "eta": DEFAULT_ETA}}
 
 
-# the subcommands and their help, in the order the top-level help lists them
-_COMMANDS: Dict[str, str] = {
-    **{name: mode.help for name, mode in MODES.items()},
-    "plot-script": "emit a gnuplot script for sweep result files",
-    "run": "execute a JSON config file (flag-equivalent)",
-}
-
-
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
-    """Register the arguments of one subcommand on ``parser``."""
-    if command == "plot-script":
-        parser.add_argument("results", nargs="+", help="sweep CSV file(s) produced by curve/mass-study")
-        parser.add_argument("--style", choices=("fig1", "mass-study"), default="fig1", help="labeling convention")
-        parser.add_argument("-o", "--output", required=True, help="gnuplot script path")
-    elif command == "run":
-        parser.add_argument("--config", required=True, help="path to the JSON config document")
-    else:
-        mode = MODES[command]
-        for o in (POINT if mode.block else ()) + mode.options:
-            _add_option(parser, o)
+# the rows of each subcommand, in the order the top-level help lists them
+_ROWS = {name: (POINT if table.block else ()) + table.options for name, table in {**MODES, "run": RUN}.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -699,31 +703,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"carl {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
-        _add_arguments(subs.add_parser(name, help=help_text, allow_abbrev=False), name)
+    for name, rows in _ROWS.items():
+        _add_rows(subs.add_parser(name, help=MODES.get(name, RUN).help, allow_abbrev=False), rows)
     return parser
 
 
 # the flags of the option tables, each of which takes one value
-_VALUE_FLAGS = frozenset(f for o in POINT + tuple(o for m in MODES.values() for o in m.options) for f in o.flags)
+_VALUE_FLAGS = frozenset(f for rows in _ROWS.values() for o in rows for f in o.flags)
 
 
 def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse a command line: a well-formed flag run of a table mode off its rows, anything else by argparse.
+    """Parse a command line: a well-formed one off its subcommand's rows, anything else by the full parser.
 
     A negative number after a flag of the tables is first passed as
     ``--flag=value``: argparse alone reads ``-2e-1``, ``-1e-320`` or ``-inf``
-    there as a flag. A run is read off the rows, with no parser built, when
-    each token is a row's flag and a value not starting with ``-``, or
-    ``--flag=value`` with a value other than ``--``, and every required row
-    is given; the last of repeated flags wins, and the namespace is
-    argparse's. These go to argparse: ``-h``, ``--version``, an unknown or
-    abbreviated flag (none is taken: a flag is spelled in full, as a config
-    key is), ``-ox``, ``-o=x``, a missing value or required flag, no
-    subcommand, ``plot-script`` and ``run``. The subcommand's own parser
-    reads them as the full parser's subparser would, so help and errors read
-    the same; a line without a subcommand, or with arguments left over, goes
-    to the full parser.
+    there as a flag. A line is read off the rows, with no parser built, when
+    each token is a row's flag and a value not starting with ``-``,
+    ``--flag=value`` with a value other than ``--``, or a word not starting
+    with ``-`` of the positional row, whose words are one unbroken run; and
+    every required row is given. The last of repeated flags wins, and the
+    namespace is argparse's. Anything else goes to :func:`build_parser`:
+    ``-h``, ``--version``, an unknown or abbreviated flag (none is taken: a
+    flag is spelled in full, as a config key is), ``-ox``, ``-o=x``,
+    ``--output -``, a missing value or required row, a second run of words
+    and no subcommand, so that help and errors are argparse's.
     """
     joined: List[str] = []
     for token in argv:
@@ -737,10 +740,17 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
                 continue
         joined.append(token)
     argv = joined
-    if argv and argv[0] in MODES:
-        rows = (POINT if MODES[argv[0]].block else ()) + MODES[argv[0]].options
+    if argv and argv[0] in _ROWS:
+        rows = _ROWS[argv[0]]
         keys, given, tokens = {flag: o.key for o in rows for flag in o.flags}, {}, iter(argv[1:])
+        words, flag = next((o.key for o in rows if not o.flags), None), None  # the positional row, and the flag read last
         for token in tokens:
+            if words and not token.startswith("-"):  # a word of the positional row, whose words are one unbroken run
+                if flag and words in given:
+                    break
+                given.setdefault(words, []).append(token)
+                flag = None
+                continue
             flag, eq, value = token.partition("=") if token.startswith("--") else (token, "", "")
             value = value if eq else next(tokens, "-")  # a missing value reads as "-", which goes to argparse
             if flag not in keys or value == "--" or not eq and value.startswith("-"):
@@ -749,18 +759,13 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
         else:
             if all(o.key in given for o in rows if o.default is REQUIRED):
                 return argparse.Namespace(command=argv[0], **{o.key: given.get(o.key) for o in rows})
-    if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"carl {argv[0]}", allow_abbrev=False)
-        _add_arguments(parser, argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
     return build_parser().parse_args(argv)
 
 
 def _config_from_args(args: argparse.Namespace) -> Dict:
-    """The config document a flag run stands for: the text of each option flag given, and the flags' block."""
+    """The config document a command line stands for: ``run``'s file, else the text of each option flag given, and the flags' block."""
+    if args.command == "run":
+        return _load_json(_resolve(RUN.options, {"config": args.config}, "run flags")["config"], "config")
     mode = MODES[args.command]
     options = {o.key: getattr(args, o.key) for o in mode.options if getattr(args, o.key) is not None}
     return {"mode": args.command, "options": options, **(_block_from_args(args) if mode.block else {})}
@@ -770,12 +775,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_args(argv)
     try:
-        if args.command == "plot-script":
-            emit_plot_script(args.results, args.style, args.output)
-            print(f"wrote {args.output}")
-            return 0
-        if args.command == "run":
-            return execute(_load_json(args.config, "config"))
         return execute(_config_from_args(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

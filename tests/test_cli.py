@@ -25,6 +25,7 @@ from carl.cli import (
     _config_from_args,
     _inspect_result_csv,
     _parse_args,
+    _ROWS,
     build_parser,
     emit_plot_script,
     main,
@@ -342,6 +343,10 @@ PHYSICAL_RB = {
     "mu": 2.5e-29, "V": 1e-6, "m": 1.44316e-25, "N": 10**6, "k0": K0,
     "omega0": OMEGA0, "omega1": OMEGA2, "omega2": OMEGA2, "a2_0": 1e4,
 }
+# a sweep result file with a row of each plotted regime, for plot-script runs
+RESULT_CSV = ('# spec: {"axis": "delta21", "fixed": 1.0}\n# mass_ratio: 10\n'
+              "axis_name,axis_value,regime,gamma,case,re_l1,im_l1,re_l2,im_l2,re_l3,im_l3\n"
+              "delta21,0.5,RAO,0.1,II,0,0,0,0,0,0\ndelta21,0.5,WAO,0.2,II,0,0,0,0,0,0\n")
 
 
 @contextlib.contextmanager
@@ -354,7 +359,7 @@ def _cwd(path):
         os.chdir(cwd)
 
 
-def _run_in(workdir, argv, inputs=("phys.json", "run.json")):
+def _run_in(workdir, argv, inputs=("phys.json", "run.json", "a.csv", "b.csv")):
     """``main(argv)`` run in ``workdir``: its exit code, stdout, stderr and the bytes of each file it wrote."""
     out, err = io.StringIO(), io.StringIO()
     with _cwd(workdir), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -376,7 +381,7 @@ def _menu(mode, o):
         "alpha_beta_from": ("0.01", "0"), "alpha_beta_to": ("10", "2"), "resolution": ("16", "64"),
         "tau_end": ("0.5", "2"), "dt": ("1e-3", "0.01"), "stride": ("1", "50"), "a1_seed": ("1e-6", "-2e-3"),
         "b0": ("0", "1e-3"), "bdot0": ("0", "-1e-3"), "alpha_beta_base": ("1", "5"), "ratios": ("1,10", "2"),
-        "samples": ("1", "2"), "seed": ("0", "7"),
+        "samples": ("1", "2"), "seed": ("0", "7"), "results": ("a.csv", "b.csv a.csv"), "style": ("fig1", "mass-study"),
     }[o.key]
     refused = ["missing/out" if o.key == "output" else "x"]
     refused += ["2.5"] if o.key in ("eta", "points", "resolution", "stride", "samples", "seed") else []
@@ -396,7 +401,9 @@ def _flag_runs(draw, mode):
     point = draw(st.sampled_from(POINT_SETS)) if MODES[mode].block else ()
     rows = [o for o in POINT if o.key in point] + [o for o in MODES[mode].options if o.default is REQUIRED or draw(st.booleans())]
     refused = draw(st.sampled_from(rows)) if rows and draw(st.booleans()) else None
-    return [mode, *(x for o in rows for x in (o.flags[-1], draw(st.sampled_from(_menu(mode, o)[o is refused]))))]
+    texts = {o.key: draw(st.sampled_from(_menu(mode, o)[o is refused])) for o in rows}
+    # a positional row's text holds its words
+    return [mode, *(x for o in rows for x in ((o.flags[-1], texts[o.key]) if o.flags else texts[o.key].split()))]
 
 
 @pytest.mark.parametrize("mode", list(MODES))
@@ -408,6 +415,10 @@ def test_flag_run_is_its_config_document(mode, data):
     with tempfile.TemporaryDirectory() as flags, tempfile.TemporaryDirectory() as config:
         with open(os.path.join(flags, "phys.json"), "w") as f:
             json.dump(PHYSICAL_RB, f)
+        for workdir in (flags, config):
+            for name in ("a.csv", "b.csv"):
+                with open(os.path.join(workdir, name), "w") as f:
+                    f.write(RESULT_CSV)
         ran = _run_in(flags, argv)
         with _cwd(flags):  # where the --physical file is
             try:
@@ -578,6 +589,9 @@ class TestBadOptionValues:
              ["'axis' = 'bogus' in options for mode 'curve': must be one of delta21, alpha_beta"]),
             ("evolve --tau-end 1 --a1-seed x -o x.csv", ["'a1_seed' = 'x' in options for mode 'evolve': complex() arg is a malformed string"]),
             ("spectrum --eta 2", ["'eta' = '2' in options for mode 'spectrum': must be one of 0, 1"]),
+            ("plot-script a.csv --style bogus -o x.gp", ["'style' = 'bogus' in options for mode 'plot-script': must be one of fig1, mass-study"]),
+            ({"mode": "plot-script", "options": {"results": [], "output": "x.gp"}},
+             ["'results' = [] in options for mode 'plot-script': must be a non-empty list of paths"]),
             (CURVE_ARGV.replace("--points 5", "--points 5.7"), ["'points' = '5.7' in options for mode 'curve'"]),
             ("spectrum --alpha-beta x", ["'alpha_beta' = 'x' in control-point flags: could not convert string to float: 'x'"]),
             # half of the --alpha/--beta pair
@@ -607,7 +621,8 @@ class TestBadOptionValues:
              "regimes-number", "regimes-word", "regimes-list", "ratios-flag-word", "ratios-flag-list-with-word",
              "ratios-number", "ratios-word", "ratios-list-with-string", "ratios-past-float",
              "axis-not-a-choice", "format-not-a-choice", "eta-not-a-choice",
-             "axis-flag-not-a-choice", "a1_seed-flag-word", "eta-flag-not-a-choice", "points-flag-fraction", "alpha-beta-flag-word",
+             "axis-flag-not-a-choice", "a1_seed-flag-word", "eta-flag-not-a-choice", "style-flag-not-a-choice",
+             "results-empty", "points-flag-fraction", "alpha-beta-flag-word",
              "alpha-without-beta", "beta-without-alpha",
              "curve-missing-dir", "curve-json-missing-dir", "threshold-missing-dir", "evolve-missing-dir", "mass-study-missing-dir",
              "spectrum-missing-dir", "validate-missing-dir"],
@@ -676,6 +691,23 @@ class TestBadOptionValues:
         assert code == 1
         assert f"{where} must be a JSON object" in err
 
+    @pytest.mark.parametrize(
+        "argv, options, named",
+        [
+            ("spectrum --alpha-beta 1 --output=--", None, "'output' = [] in options for mode 'spectrum'"),
+            (CURVE_ARGV.replace("-o c.csv", "--output=--"), None, "'output' = [] in options for mode 'curve'"),
+            ("spectrum --physical=--", None, "'physical' = [] in control-point flags"),
+            ("run --config run.json", {"output": ["a"]}, "'output' = ['a'] in options for mode 'curve'"),
+            ("run --config=--", None, "'config' = [] in run flags"),
+        ],
+        ids=["spectrum-output", "curve-output", "physical", "config-output-list", "run-config"],
+    )
+    def test_text_rows_take_text_only(self, tmp_path, argv, options, named):
+        # argparse reads --flag=-- as [], which str() would spell as the file name '[]'
+        if options:
+            (tmp_path / "run.json").write_text(json.dumps(dict(CURVE_CONFIG, options=dict(CURVE_CONFIG["options"], **options))))
+        assert _run_in(tmp_path, argv.split()) == (1, "", f"error: {named}: must be text\n", {})
+
 
 class TestNegativeValues:
     """A negative value after a flag parses as its ``--flag=value`` form does, exponent notation and -inf included."""
@@ -736,16 +768,18 @@ _STRAY_TOKENS = ["-h", "--help", "--version", "--bogus", "--", "-ox.csv", "-o=x.
 
 
 def _command_lines(name):
-    """Command lines of mode ``name``: its flags, spaced or ``--flag=value``, bare or stray tokens, its required flags or not."""
-    rows = (POINT if MODES[name].block else ()) + MODES[name].options
+    """Command lines of subcommand ``name``: its flags, spaced or ``--flag=value``, bare or stray tokens, runs of words
+    for a positional row, its required rows or not."""
+    rows = _ROWS[name]
     flags = [flag for o in rows for flag in o.flags]
     value = st.one_of(st.just("1"), st.sampled_from(_VALUE_MENU))
     group = st.one_of(
         st.tuples(st.sampled_from(flags), value).map(list),
         st.tuples(st.sampled_from([f for f in flags if f.startswith("--")]), value).map(lambda fv: ["=".join(fv)]),
         st.sampled_from(_STRAY_TOKENS + flags).map(lambda token: [token]),
+        *([st.lists(value, min_size=1, max_size=3)] if any(not o.flags for o in rows) else []),
     )
-    required = [[o.flags[-1], "1"] for o in rows if o.default is REQUIRED]
+    required = [[o.flags[-1], "1"] if o.flags else ["a.csv"] for o in rows if o.default is REQUIRED]
     groups = st.tuples(st.lists(group, max_size=4), st.booleans()).flatmap(
         lambda drawn: st.permutations(drawn[0] + (required if drawn[1] else [])))
     return groups.map(lambda drawn: [name] + [token for g in drawn for token in g])
@@ -757,7 +791,7 @@ class TestFlagRunReadOffTheRows:
     THRESHOLD = "threshold --eta 1 --delta21-from -2 --delta21-to 6 --alpha-beta-from 0.01 --alpha-beta-to 10"
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(argv=st.one_of(*(_command_lines(name) for name in MODES)))
+    @given(argv=st.one_of(*(_command_lines(name) for name in _ROWS)))
     @example(argv=["spectrum", "--alpha=--", "--beta", "1"])
     @example(argv=[*THRESHOLD.split(), "-o=x.csv"])
     @example(argv=[*THRESHOLD.split(), "-ox.csv"])
@@ -766,6 +800,10 @@ class TestFlagRunReadOffTheRows:
     @example(argv=["spectrum", "--delta21", "-2e-1"])
     @example(argv=["spectrum", "--delta21=-inf"])
     @example(argv=[*THRESHOLD.split(), "-o", "x.csv", "-h"])
+    @example(argv=["plot-script", "a.csv", "-o", "x.gp", "b.csv"])
+    @example(argv=["plot-script", "-", "-o", "x.gp"])
+    @example(argv=["plot-script", "--style", "fig1", "a.csv", "b.csv", "-o", "x.gp"])
+    @example(argv=["run", "--config=--"])
     def test_rows_read_what_argparse_reads(self, argv):
         assert _parsed(_parse_args, argv) == _parsed(build_parser().parse_args, _negatives_joined(argv))
 
@@ -778,14 +816,19 @@ class TestFlagRunReadOffTheRows:
             "evolve --delta21 0 --alpha-beta 1 --eta 1 --tau-end 2 --a1-seed=-1e-6 -o traj.csv",
             "mass-study --alpha-beta-base 5 --ratios 1,10 --points 51 -o fig2",
             "validate --axis delta21 --from -1 --to 3 --points 41 --alpha-beta 1 --samples 4 --seed 1 -o report.json",
+            "plot-script a.csv b.csv --style=mass-study -o fig.gp",
+            "run --config run.json",
         ],
-        ids=list(MODES),
+        ids=list(_ROWS),
     )
     def test_a_well_formed_run_builds_no_parser(self, capsys, tmp_path, monkeypatch, argv):
         # the reference run parses by argparse, as every run did before the rows read a flag run
+        inputs = {"a.csv": RESULT_CSV, "b.csv": RESULT_CSV, "run.json": json.dumps(CURVE_CONFIG)}
         runs = []
         for how in ("argparse", "rows"):
             (tmp_path / how).mkdir()
+            for name, text in inputs.items():
+                (tmp_path / how / name).write_text(text)
             monkeypatch.chdir(tmp_path / how)
             with monkeypatch.context() as mp:
                 if how == "argparse":
@@ -793,7 +836,7 @@ class TestFlagRunReadOffTheRows:
                 else:
                     mp.setattr(argparse, "ArgumentParser", _refuse)
                 code, out, err = run_cli(capsys, *argv.split())
-            runs.append((code, out, err, sorted((p.name, p.read_bytes()) for p in (tmp_path / how).iterdir())))
+            runs.append((code, out, err, sorted((p.name, p.read_bytes()) for p in (tmp_path / how).iterdir() if p.name not in inputs)))
         assert runs[0] == runs[1]
         assert runs[1][0] == 0 and runs[1][3]
 
@@ -1349,7 +1392,7 @@ class TestHelp:
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )
     def test_output_matches_fully_built_parser(self, capsys, argv):
-        # main parses a subcommand's arguments with that subcommand's parser alone
+        # main hands every line it cannot read off the rows, help and errors among them, to the fully built parser
         with pytest.raises(SystemExit) as full:
             build_parser().parse_args(argv)
         expected = capsys.readouterr()

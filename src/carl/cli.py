@@ -28,7 +28,6 @@ failure (integrator step rejection, or a state past the float range).
 from __future__ import annotations
 
 import argparse
-import codecs
 import json
 import math
 import sys
@@ -44,6 +43,8 @@ from carl.params import PhysicalParams, ScaledParams, to_scaled
 from carl.spectrum import _ALPHA_BETA_MAX, _ALPHA_BETA_MIN, _DELTA21_MAX, spectrum_arrays
 from carl.sweep import (
     _CSV_COLUMNS,
+    AXES,
+    REGIMES,
     SweepSpec,
     gain_curve,
     mass_study,
@@ -140,7 +141,7 @@ _PRODUCT = _checked(float, lambda v: -math.inf < v <= 0.0 or _ALPHA_BETA_MIN <= 
                     f"must be finite and either <= 0 or in [{_ALPHA_BETA_MIN!r}, {_ALPHA_BETA_MAX:g}]")
 POINT = (
     Option(("--delta21",), "delta21", float, 0.0, "pump-probe detuning (scaled units, recoil quanta)"),
-    Option(("--alpha-beta",), "alpha_beta", float, 0.0, "gain control product alpha*beta (scaled, dimensionless)"),
+    Option(("--alpha-beta",), "alpha_beta", _checked(float, lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"), 0.0, "gain control product alpha*beta (scaled, dimensionless)"),
     Option(("--alpha",), "alpha", float, None, "pump-intensity control alpha (scaled; use with --beta)"),
     Option(("--beta",), "beta", float, None, "density control beta (scaled; use with --alpha)"),
     Option(("--physical",), "physical", _TEXT, None, f"JSON file with SI-unit parameters (keys {','.join(o.key for o in PHYSICAL)}) instead of scaled flags", metavar="FILE"),
@@ -358,10 +359,9 @@ def _run_plot_script(_: None, options: Dict) -> int:
     return 0
 
 
-_AXIS = ("delta21", "alpha_beta")
 _FORMAT = ("csv", "json")
-_REGIMES = {"rao": ("RAO",), "wao": ("WAO",), "both": ("RAO", "WAO")}
-_REGIMES_OPTION = Option(("--regimes",), "regimes", _parse_regimes, _REGIMES["both"], "rao, wao or both (default both)")
+_REGIMES = {"rao": ("RAO",), "wao": ("WAO",), "both": REGIMES}
+_REGIMES_OPTION = Option(("--regimes",), "regimes", _parse_regimes, REGIMES, "rao, wao or both (default both)")
 
 MODES: Dict[str, Mode] = {
     "spectrum": Mode(
@@ -371,7 +371,7 @@ MODES: Dict[str, Mode] = {
     "curve": Mode(
         "growth-rate curve along one control axis (CSV/JSON)", _run_curve, True, ("points",),
         (
-            Option(("--axis",), "axis", _TEXT, REQUIRED, "swept control (scaled units)", _AXIS),
+            Option(("--axis",), "axis", _TEXT, REQUIRED, "swept control (scaled units)", AXES),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled units)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled units)"),
             Option(("--points",), "points", _SIZE, REQUIRED, "number of grid points (>= 2)"),
@@ -421,7 +421,7 @@ MODES: Dict[str, Mode] = {
     "validate": Mode(
         "cross-check sweep growth rates against time-domain fits", _run_validate, True, ("points",),
         (
-            Option(("--axis",), "axis", _TEXT, REQUIRED, "swept control (scaled units)", _AXIS),
+            Option(("--axis",), "axis", _TEXT, REQUIRED, "swept control (scaled units)", AXES),
             Option(("--from",), "from", float, REQUIRED, "axis start (scaled)"),
             Option(("--to",), "to", float, REQUIRED, "axis stop (scaled)"),
             Option(("--points",), "points", _SIZE, REQUIRED, "number of grid points"),
@@ -478,49 +478,43 @@ def execute(config: Dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-_READ = 1 << 16  # characters read at a time by the result-file scan
-_PLOTTED = ("RAO", "WAO")  # the regimes a plot script draws
+_READ = 1 << 16  # bytes read at a time by the result-file scan
 
 
-def _line_blocks(f) -> Iterator[str]:
-    """The text of ``f`` in blocks of whole lines, each ending in a newline."""
-    rest = ""
-    while text := f.read(_READ):
-        cut = text.rfind("\n") + 1
-        if cut:
-            yield rest + text[:cut]
-            rest = ""
-        rest += text[cut:]
-    if rest:
-        yield rest + "\n"
+def _line_blocks(f, path: str) -> Iterator[bytes]:
+    """The bytes of ``f`` in blocks of whole lines, each ending in LF; CRLF and CR line ends read as LF.
 
-
-def _bad_bytes(path: str, exc: UnicodeDecodeError) -> str:
-    """The text of ``exc``, from a text read of ``path``, naming its bytes by their offset in the file, not in the read.
-
-    The file is decoded again, :data:`_READ` bytes at a time; the decoder holds back a sequence a read cuts.
+    Each block must be UTF-8, else a :class:`ConfigError` names ``path`` and
+    the bad bytes by their offset in the file. No UTF-8 sequence holds an LF
+    or CR byte, so a block decodes as it does within the whole file. A CRLF
+    pair that a read cuts reads as one more empty line.
     """
-    decoder, offset, data = codecs.getincrementaldecoder("utf-8")(), 0, None
-    try:
-        with open(path, "rb") as f:
-            while data != b"":
-                data = f.read(_READ)
-                base = offset - len(decoder.getstate()[0])  # the offset of the bytes held back, which the decoder prefixes
-                decoder.decode(data, final=not data)
-                offset += len(data)
-    except UnicodeDecodeError as found:
-        start, bad = base + found.start, found.object[found.start:found.end]
-        where = f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1 else f"bytes in position {start}-{start + len(bad) - 1}"
-        return f"'utf-8' codec can't decode {where}: {found.reason}"
-    return str(exc)  # the file changed since the text read
+    rest, offset, data = b"", 0, None
+    while data != b"":
+        data = f.read(_READ)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        # the read's whole lines, or at the end of the file the unfinished last line
+        block, rest = (rest + data[:cut], data[cut:]) if cut or not data else (b"", rest + data)
+        if not block:
+            continue
+        try:
+            block.decode()
+        except UnicodeDecodeError as exc:
+            start, bad = offset + exc.start, exc.object[exc.start:exc.end]
+            where = f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1 else f"bytes in position {start}-{start + len(bad) - 1}"
+            raise ConfigError(f"cannot read result file {path!r}: 'utf-8' codec can't decode {where}: {exc.reason}") from exc
+        offset += len(block)
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield block if data else block + b"\n"
 
 
 def _inspect_result_csv(path: str) -> Dict:
     """Schema check a sweep CSV; returns its meta, its plotted regimes and its row count.
 
-    The file is read as text (so CRLF and CR line ends read as LF, and
-    every byte must be UTF-8) in blocks of whole lines of about
-    :data:`_READ` characters. Each block is scanned as a byte array:
+    The file is read once, as bytes, in blocks of whole lines of about
+    :data:`_READ` bytes (:func:`_line_blocks`: CRLF and CR line ends read as
+    LF, and every byte must be UTF-8). Each block is scanned as a byte array:
     a line is empty, a ``#`` comment (parsed into meta) or, after the
     header, a row. Only the comment lines, the header and the first row of
     each regime are handled one at a time, so memory holds one block, its
@@ -532,9 +526,8 @@ def _inspect_result_csv(path: str) -> Dict:
     header, n_rows = None, 0
     firsts: Dict[str, Tuple[int, int]] = {}  # regime -> (block, offset) of its first row
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            for number, text in enumerate(_line_blocks(f)):
-                data = text.encode()
+        with open(path, "rb") as f:
+            for number, data in enumerate(_line_blocks(f, path)):
                 view = np.frombuffer(b"\n" + data, np.uint8)
                 starts = view[:-1] == 10  # a line of data starts at byte i
                 heads = view[1:][starts]  # the first byte of each line
@@ -564,7 +557,7 @@ def _inspect_result_csv(path: str) -> Dict:
                 if header is None:
                     continue
                 n_rows += heads.size - skipped
-                for regime in _PLOTTED:
+                for regime in REGIMES:
                     # by its first letter: a one-byte find runs as a memchr, and no other cell of a sweep file holds R or W
                     name = regime.encode()
                     hit = data.find(name[:1], begin) if regime not in firsts else -1
@@ -575,9 +568,8 @@ def _inspect_result_csv(path: str) -> Dict:
                             firsts[regime] = (number, hit)
                             break
                         hit = data.find(name[:1], line_end)
-    except (OSError, UnicodeDecodeError) as exc:
-        why = _bad_bytes(path, exc) if isinstance(exc, UnicodeDecodeError) else exc
-        raise ConfigError(f"cannot read result file {path!r}: {why}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
     if n_rows == 0:
         raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
     return {"meta": meta, "regimes": sorted(firsts, key=firsts.get), "rows": n_rows}
@@ -633,7 +625,7 @@ def emit_plot_script(result_paths: Sequence[str], style: str, out_path: str) -> 
         # a label only from a number: not a bool, nor an int past the float range, which :g cannot format
         number = type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
         label = f"{name}={value:g}" if number else unknown
-        for regime in _PLOTTED:
+        for regime in REGIMES:
             if regime not in info["regimes"]:
                 continue
             dash = " dashtype 2" if regime == "RAO" else ""

@@ -387,6 +387,7 @@ def _menu(mode, o):
     refused += ["2.5"] if o.key in ("eta", "points", "resolution", "stride", "samples", "seed") else []
     refused += ["2"] if o.choices else []
     refused += ["nan", "-inf", "1e30"] if o.key in MODES[mode].sizes else []
+    refused += ["-1", "nan"] if o.key == "alpha_beta" else []
     return valid, refused
 
 
@@ -594,6 +595,10 @@ class TestBadOptionValues:
              ["'results' = [] in options for mode 'plot-script': must be a non-empty list of paths"]),
             (CURVE_ARGV.replace("--points 5", "--points 5.7"), ["'points' = '5.7' in options for mode 'curve'"]),
             ("spectrum --alpha-beta x", ["'alpha_beta' = 'x' in control-point flags: could not convert string to float: 'x'"]),
+            # a product the scaled flags cannot split into alpha = alpha_beta, beta = 1 is named by its own flag
+            ("spectrum --alpha-beta -1", ["'alpha_beta' = '-1' in control-point flags: must be finite and >= 0"]),
+            (EVOLVE_ARGV.replace("--alpha-beta 1", "--alpha-beta nan") + " --tau-end 1",
+             ["'alpha_beta' = 'nan' in control-point flags: must be finite and >= 0"]),
             # half of the --alpha/--beta pair
             ("spectrum --alpha 1 --eta 1", ["--alpha and --beta must be given together"]),
             ("spectrum --beta 1 --eta 1", ["--alpha and --beta must be given together"]),
@@ -622,7 +627,7 @@ class TestBadOptionValues:
              "ratios-number", "ratios-word", "ratios-list-with-string", "ratios-past-float",
              "axis-not-a-choice", "format-not-a-choice", "eta-not-a-choice",
              "axis-flag-not-a-choice", "a1_seed-flag-word", "eta-flag-not-a-choice", "style-flag-not-a-choice",
-             "results-empty", "points-flag-fraction", "alpha-beta-flag-word",
+             "results-empty", "points-flag-fraction", "alpha-beta-flag-word", "alpha-beta-flag-negative", "alpha-beta-flag-nan",
              "alpha-without-beta", "beta-without-alpha",
              "curve-missing-dir", "curve-json-missing-dir", "threshold-missing-dir", "evolve-missing-dir", "mass-study-missing-dir",
              "spectrum-missing-dir", "validate-missing-dir"],
@@ -1104,6 +1109,10 @@ _RESULT_LINES = [
 ]
 
 
+# bytes that are not UTF-8: a sequence cut by an ASCII byte, an invalid start byte, a surrogate, and sequences the file ends in
+DECODE_TAILS = [b"\xe2\x82A\n", b"\xff\n", b"\xed\xa0\x80\n", b"\xf0\x9f\x98", b"\xc3"]
+
+
 class TestPlotScript:
     def make_curve(self, capsys, tmp_path, name="fig1.csv", ab="1"):
         out = tmp_path / name
@@ -1266,10 +1275,12 @@ class TestPlotScript:
         with pytest.raises(ConfigError, match="cannot read result file"):
             _inspect_result_csv(str(tmp_path / "absent.csv"))
 
-    def test_inspect_memory_stays_bounded(self, tmp_path):
-        # 10**5 rows, a 3.5 MB file: the scan holds one line at a time
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_inspect_memory_stays_bounded(self, tmp_path, end):
+        # 10**5 rows, a 3.5 MB file: the scan holds one line at a time, whichever byte ends the lines
         path = tmp_path / "big.csv"
-        path.write_text(f"# spec: {{\"axis\": \"delta21\"}}\n{self.HEADER}\n" + "".join(f"{self.ROW.format(r)}\n" for r in ("RAO", "WAO") * 50_000))
+        text = f"# spec: {{\"axis\": \"delta21\"}}\n{self.HEADER}\n" + "".join(f"{self.ROW.format(r)}\n" for r in ("RAO", "WAO") * 50_000)
+        path.write_bytes(text.replace("\n", end).encode())
         tracemalloc.start()
         try:
             info = _inspect_result_csv(str(path))
@@ -1291,11 +1302,7 @@ class TestPlotScript:
         assert (code, out) == (1, "")
         assert err == f"error: cannot read result file {str(path)!r}: 'utf-8' codec can't decode byte 0xff in position 100000: invalid start byte\n"
 
-    @pytest.mark.parametrize(
-        "tail",
-        [b"\xe2\x82A\n", b"\xff\n", b"\xed\xa0\x80\n", b"\xf0\x9f\x98", b"\xc3"],
-        ids=["cut-sequence", "invalid-start", "surrogate", "truncated-at-end", "one-byte-at-end"],
-    )
+    @pytest.mark.parametrize("tail", DECODE_TAILS, ids=["cut-sequence", "invalid-start", "surrogate", "truncated-at-end", "one-byte-at-end"])
     @pytest.mark.parametrize("size", [1, 2, 7, 8])
     def test_decode_error_across_a_read_edge(self, tmp_path, monkeypatch, tail, size):
         # reads of 2, 7 and 8 bytes end at byte 56, inside a sequence from byte 55; its bytes are named at their offset
@@ -1309,6 +1316,30 @@ class TestPlotScript:
         with pytest.raises(ConfigError) as exc:
             _inspect_result_csv(str(path))
         assert str(exc.value) == f"cannot read result file {str(path)!r}: {whole.value}"
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        lines=st.lists(st.tuples(st.sampled_from(_RESULT_LINES), st.sampled_from(["\n", "\r\n", "\r"])), max_size=10),
+        end=st.sampled_from(["\n", "\r\n", "\r"]),
+        tail=st.sampled_from(DECODE_TAILS),
+        data=st.data(),
+    )
+    def test_decode_error_names_the_byte_anywhere(self, lines, end, tail, data):
+        # a bad tail at any byte of a file with any line ends is named as a decode of the whole file names it
+        text = (self.HEADER + end + "".join(line + e for line, e in lines)).encode()
+        at = data.draw(st.integers(0, len(text)))
+        bad = text[:at] + tail + text[at:]
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bad.decode()
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "r.csv")
+            with open(path, "wb") as f:
+                f.write(bad)
+            for size in (1, 2, 7, carl.cli._READ):
+                mp.setattr(carl.cli, "_READ", size)
+                with pytest.raises(ConfigError) as exc:
+                    _inspect_result_csv(path)
+                assert str(exc.value) == f"cannot read result file {path!r}: {whole.value}", size
 
     @pytest.mark.parametrize("regime", ["rao", " RAO ", "wao"])
     def test_no_plottable_rows_is_error(self, capsys, tmp_path, regime):

@@ -487,14 +487,16 @@ def _line_blocks(f, path: str) -> Iterator[bytes]:
     Each block must be UTF-8, else a :class:`ConfigError` names ``path`` and
     the bad bytes by their offset in the file. No UTF-8 sequence holds an LF
     or CR byte, so a block decodes as it does within the whole file. A CRLF
-    pair that a read cuts reads as one more empty line.
+    pair that a read cuts reads as one more empty line. A line longer than a
+    read grows in place, in time linear in its length.
     """
-    rest, offset, data = b"", 0, None
+    rest, offset, data = bytearray(), 0, None
     while data != b"":
         data = f.read(_READ)
         cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
         # the read's whole lines, or at the end of the file the unfinished last line
-        block, rest = (rest + data[:cut], data[cut:]) if cut or not data else (b"", rest + data)
+        rest += data[:cut] if cut else data
+        block, rest = (bytes(rest), bytearray(data[cut:])) if cut or not data else (b"", rest)
         if not block:
             continue
         try:
@@ -768,15 +770,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(argv)
     try:
         return execute(_config_from_args(args))
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (StepSizeRejection, NonFiniteStateError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ state, a second every step's step-doubling error estimate. Every step is
 checked in a few whole-array passes per chunk: the largest estimate is
 compared with the tolerance, and the steps are searched only when it fails;
 the search for |B| > 1 runs only in a chunk whose states come near that
-size. :func:`propagator` provides the exact ``exp(tau*M)`` through the
-eigenvalues of the spectrum module, serving as an independent oracle.
+size. :func:`propagator` gives the exact ``exp(tau*M)`` by scaling and
+squaring its Taylor series, an oracle independent of the stepper.
 Exponential growth rates are extracted from trajectories by
 :func:`fit_growth_rate` and compared against the spectrum's gamma.
 """
@@ -34,7 +34,6 @@ import numpy as np
 
 from carl._io import PathOrFile, csv_rows, text_sink
 from carl.params import ScaledParams
-from carl.spectrum import spectrum_arrays
 
 __all__ = [
     "TrajectoryState",
@@ -355,9 +354,9 @@ def evolve(
 
 
 def _expm_taylor(a: np.ndarray) -> np.ndarray:
-    # scaled-squaring Taylor series; adequate for well-scaled 3x3 blocks
+    # the Taylor series of exp(a / 2^s) to convergence, with |a / 2^s| <= 0.5 in the inf-norm, squared s times
     norm = float(np.linalg.norm(a, ord=np.inf))
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
+    squarings = int(math.ceil(math.log2(norm / 0.5))) if 0.5 < norm < math.inf else 0
     b = a / (2.0**squarings)
     result = term = np.eye(3, dtype=complex)
     for k in range(1, 40):
@@ -371,24 +370,22 @@ def _expm_taylor(a: np.ndarray) -> np.ndarray:
 
 
 def propagator(s: ScaledParams, tau: float) -> np.ndarray:
-    """Exact propagator exp(tau*M) of the linearized system.
+    """Exact propagator exp(tau*M) of the linearized system, the oracle of :func:`evolve`.
 
-    Built from the eigenvalues delivered by the spectrum module (each
-    eigenvector obtained as the null direction of M - lambda*I), which makes
-    trajectories an end-to-end test of the spectrum. Falls back to a
-    scaled-squaring series when the eigenvalues are within 1e-6 of
-    degenerate, where the eigenbasis is ill conditioned.
+    One method for every ``tau`` and every spectrum, degenerate or not:
+    scaling and squaring of the Taylor series (Moler and Van Loan, 2003).
+    ``tau`` must be finite and >= 0; a ``tau*M`` or a result past the float
+    range raises ``OverflowError`` naming ``tau``.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    m = system_matrix(s)
-    lambdas = spectrum_arrays(s.delta21, s.alpha_beta, s.eta)[0][0].tolist()
-
-    if min(abs(lambdas[i] - lambdas[j]) for i, j in ((0, 1), (0, 2), (1, 2))) < 1e-6:
-        return _expm_taylor(tau * m)
-    # each eigenvector is the last right-singular vector of M - lambda*I
-    v = np.column_stack([np.linalg.svd(m - lam * np.eye(3, dtype=complex))[2][-1].conj() for lam in lambdas])
-    return (v * np.exp(np.array(lambdas) * tau)) @ np.linalg.inv(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = _expm_taylor(tau * system_matrix(s))
+    if not np.isfinite(result).all():
+        raise OverflowError(f"exp(tau*M) overflows the float range at tau = {tau:.6g}")
+    return result
 
 
 def fit_growth_rate(traj: Trajectory, window: Tuple[float, float]) -> float:

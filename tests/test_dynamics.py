@@ -1,10 +1,16 @@
-"""Time-domain integration tests against analytic limits and the propagator oracle."""
+"""Time-domain integration tests against analytic limits and the propagator oracle.
+
+The oracle, ``propagator``, is itself checked against a ``decimal``
+reference of ``exp(tau*M)`` next to the threshold, where two eigenvalues
+nearly coincide.
+"""
 
 import io
 import math
 import re
 import struct
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -19,6 +25,7 @@ from carl import (
     StepSizeRejection,
     Trajectory,
     TrajectoryState,
+    critical_alpha_beta,
     evolve,
     fit_growth_rate,
     propagator,
@@ -39,6 +46,31 @@ def growth_rate(p):
 
 def decoupled(eta):
     return ScaledParams(delta21=0.0, alpha=0.0, beta=0.0, eta=eta)
+
+
+def decimal_expm(m, tau, digits=50):
+    """exp(tau*m) of a complex 3x3 array: a scaled Taylor series on (re, im) pairs of Decimals at ``digits`` digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a = [[(Decimal(z.real) * Decimal(tau), Decimal(z.imag) * Decimal(tau)) for z in row] for row in m.tolist()]
+        squarings = 0
+        while max(sum(abs(x) + abs(y) for x, y in row) for row in a) > Decimal("0.5"):
+            a = [[(x / 2, y / 2) for x, y in row] for row in a]
+            squarings += 1
+
+        def product(p, q):
+            return [[(sum(p[i][k][0] * q[k][j][0] - p[i][k][1] * q[k][j][1] for k in range(3)),
+                      sum(p[i][k][0] * q[k][j][1] + p[i][k][1] * q[k][j][0] for k in range(3))) for j in range(3)] for i in range(3)]
+
+        result = term = [[(Decimal(int(i == j)), Decimal(0)) for j in range(3)] for i in range(3)]
+        k = 0
+        while max(abs(x) + abs(y) for row in term for x, y in row) >= Decimal(10) ** -digits:
+            k += 1
+            term = [[(x / k, y / k) for x, y in row] for row in product(term, a)]
+            result = [[(x + u, y + v) for (x, y), (u, v) in zip(r, t)] for r, t in zip(result, term)]
+        for _ in range(squarings):
+            result = product(result, result)
+        return np.array([[complex(float(x), float(y)) for x, y in row] for row in result])
 
 
 class TestAnalyticLimits:
@@ -128,6 +160,25 @@ class TestPropagatorOracle:
     def test_negative_tau_is_refused(self):
         with pytest.raises(ValueError, match=re.escape("tau must be >= 0, got -1.0")):
             propagator(ScaledParams.from_product(1.0, 1.0, WAO), -1.0)
+        for tau in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=re.escape(f"tau must be finite, got {tau}")):
+                propagator(ScaledParams.from_product(1.0, 1.0, WAO), tau)
+
+    def test_overflow_is_a_named_error(self):
+        # gamma * tau = 800: exp(tau*M) has entries past the float range; evolve raises NonFiniteStateError there
+        with pytest.raises(OverflowError, match=re.escape("exp(tau*M) overflows the float range at tau = 1422.8")):
+            propagator(ScaledParams.from_product(0.0, 1.0, WAO), 1422.8)
+        assert np.isfinite(propagator(ScaledParams.from_product(0.0, 1.0, WAO), 700.0)).all()
+
+    @pytest.mark.parametrize("eta", [RAO, WAO])
+    @pytest.mark.parametrize("offset", [-1e-3, 1e-3, -1e-7, 1e-7, -1e-11, 1e-11, 0.0])
+    def test_matches_decimal_reference_next_to_threshold(self, eta, offset):
+        # at alpha*beta = critical * (1 + offset) two eigenvalues nearly coincide (a gap of 3.1e-6 at
+        # WAO, delta21 = 2, offset -1e-11), where an eigenbasis is ill conditioned
+        for d in (0.5, 2.0, 5.0):
+            p = ScaledParams.from_product(d, critical_alpha_beta(d, eta) * (1.0 + offset), eta)
+            ref = decimal_expm(system_matrix(p), 10.0)
+            assert np.abs(propagator(p, 10.0) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_characteristic_polynomial_matches_dispersion_cubic(self):
         # det(M - lam I) = -(lam^3 - i d lam^2 + eta lam - i(ab + eta d))

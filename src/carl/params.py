@@ -17,6 +17,7 @@ live entirely in (delta21, alpha*beta) space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -123,7 +124,8 @@ class ScaledParams:
         for name in ("delta21", "alpha", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.eta not in (RAO, WAO):
+        # a bool equals 0 or 1 but names no regime (numpy's bool is no Number)
+        if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Number) or self.eta not in (RAO, WAO):
             raise ValueError(f"eta must be exactly 0 (RAO) or 1 (WAO), got {self.eta!r}")
         if self.alpha * self.beta < 0:
             raise ValueError(
@@ -144,8 +146,8 @@ class ScaledParams:
         split with the same product yields the identical spectrum, and
         identical dynamics for trajectories seeded with B = dB/dtau = 0.
         """
-        if alpha_beta < 0:
-            raise ValueError(f"alpha_beta must be >= 0, got {alpha_beta}")
+        if not (math.isfinite(alpha_beta) and alpha_beta >= 0):
+            raise ValueError(f"alpha_beta must be finite and >= 0, got {alpha_beta!r}")
         return cls(delta21=delta21, alpha=alpha_beta, beta=1.0, eta=eta)
 
 

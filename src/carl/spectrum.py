@@ -21,6 +21,7 @@ the controls (delta21, alpha*beta, eta).
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from typing import List, Optional, Tuple
 
@@ -51,11 +52,11 @@ def spectrum_arrays(delta21, alpha_beta, eta):
     inside the tolerance band of a repeated root, where the class is not
     numerically meaningful. The inputs are checked as :class:`ScaledParams`
     checks them: a non-finite value, ``alpha_beta < 0`` or an ``eta`` other
-    than 0 or 1 raises ``ValueError`` naming the parameter.
+    than 0 or 1 (a bool included) raises ``ValueError`` naming the parameter.
     """
     arrays = np.broadcast_arrays(np.asarray(delta21, dtype=float), np.asarray(alpha_beta, dtype=float), np.asarray(eta))
     d, ab, eta = (np.ravel(v) for v in arrays)
-    bad = (eta != RAO) & (eta != WAO)
+    bad = (eta != RAO) & (eta != WAO) | (eta.dtype == bool)
     if bad.any():
         raise ValueError(f"eta must be exactly 0 (RAO) or 1 (WAO), got {eta[bad.argmax()].item()!r}")
     if (ab < 0.0).any():
@@ -122,9 +123,9 @@ def gamma_rao_closed_form(delta21: float, alpha_beta: float) -> float:
 # threshold_lhs in alpha_beta (the larger is about 4|delta21|^3/27) and every
 # intermediate of _alpha_beta_roots stay finite.
 _DELTA21_MAX = 1e100
-# Range of alpha_beta critical_delta21 accepts: normal floats, so that its
-# indicator's division by alpha_beta cannot overflow, up to where its
-# quartic's constant term, 27 alpha_beta^2/4, stays finite.
+# Range of alpha_beta critical_delta21 accepts: the normal floats, up to a
+# bound under which the fourth power of its estimates' sqrt(2 alpha_beta)
+# stays finite.
 _ALPHA_BETA_MIN = sys.float_info.min
 _ALPHA_BETA_MAX = 1e150
 
@@ -146,8 +147,7 @@ def _alpha_beta_roots(delta21, eta):
     ``r1 r2 = -4r^2`` instead (``r1 = 2r^2/(h + b)`` when ``b > 0``), and
     ``1 - 9u^2`` is formed as ``(1 - delta21)(1 + delta21)``, so both roots
     are accurate to a few ulps, also next to the recoil resonance.
-    Accepts scalars or arrays; returns arrays. :func:`_root_pair` is the
-    same arithmetic at one point.
+    Accepts scalars or arrays; returns arrays.
     """
     if eta not in (RAO, WAO):
         raise ValueError(f"eta must be 0 (RAO) or 1 (WAO), got {eta!r}")
@@ -163,19 +163,6 @@ def _alpha_beta_roots(delta21, eta):
     small = 2.0 * r * np.divide(r, half_big, out=np.zeros_like(r), where=r > 0.0)
     positive = b > 0.0
     return np.where(positive, small, big), np.where(positive, -big, -small)
-
-
-def _root_pair(d: float, eta: int) -> Tuple[float, float]:
-    """:func:`_alpha_beta_roots` at one detuning ``|d| <= 1e100``: the same
-    operations on floats, so the same doubles, without numpy's cost per call."""
-    u = d / 3.0
-    b = u * (eta - u * u)
-    r = math.sqrt(eta / 27.0) * abs((1.0 - d) * (1.0 + d))
-    # numpy's hypot, not math.hypot: they can differ in the last bit
-    half_big = float(np.hypot(b, r)) + abs(b)
-    big = 2.0 * half_big
-    small = 2.0 * r * (r / half_big) if r > 0.0 else 0.0
-    return (small, -big) if b > 0.0 else (big, -small)
 
 
 def threshold_lhs(delta21, alpha_beta, eta):
@@ -218,12 +205,7 @@ def critical_alpha_beta(delta21: float, eta: int) -> Optional[float]:
     then no finite positive threshold. ``|delta21| > 1e100`` raises
     ``ValueError``.
     """
-    if eta not in (RAO, WAO):
-        raise ValueError(f"eta must be 0 (RAO) or 1 (WAO), got {eta!r}")
-    d = float(delta21)
-    if not abs(d) <= _DELTA21_MAX:
-        raise _delta21_out_of_range(d)
-    r1 = _root_pair(d, eta)[0]
+    r1 = float(_alpha_beta_roots(delta21, eta)[0])
     return None if r1 == 0.0 else r1
 
 
@@ -231,17 +213,17 @@ def critical_delta21(alpha_beta: float, eta: int, *, window: Tuple[float, float]
     """All detunings where the stability class flips, at fixed alpha*beta.
 
     These are the gain-band edges of a growth-rate-versus-detuning curve:
-    the real roots of ``27*threshold_lhs`` as a polynomial in delta21 across
-    which it changes sign. For eta = 0 that is ``27ab^2/4 - ab d^3``, with
-    the single root ``(27ab/4)^(1/3)``. For eta = 1 it is the quartic
-    ``-d^4 - ab d^3 + 2d^2 + 9ab d + 27ab^2/4 - 1``: its roots as
-    ``numpy.roots`` finds them are starts, each distinct start is polished
-    by its own Newton iteration in float arithmetic, and only the roots with
-    opposite signs of the indicator on either side are kept, so a gain band
-    of any width is found. A start stops at its first step that does not
-    lower ``|indicator|``, the rule under which the former Newton iteration
-    on all starts as one array froze it, so it reaches the same double.
-    ``window`` filters the result. Returns an ascending (possibly empty) list.
+    the real roots of ``108*threshold_lhs`` as a polynomial in delta21, each
+    returned as the double nearest it. For eta = 0 that is ``27ab^2 -
+    4ab d^3``, with the single root ``(27ab/4)^(1/3)``. For eta = 1 the
+    dispersion cubic has a double root ``x > 0`` on the boundary, where
+    ``ab = (x^2 - 1)^2/2x`` and ``delta21 = (3x^2 - 1)/2x``: with
+    ``w = sqrt(2ab)``, the lower edge has ``x = z^-2``, ``z^4 - w z^3 = 1``,
+    and the upper edge ``x = v^2``, ``v^4 - w v = 1``. Newton's iteration
+    from above on each estimates its edge, and :func:`_round_edge` rounds
+    it by the exact sign of the indicator. ``delta21 = 1`` is unstable at
+    every ab > 0, so each side of it holds exactly one edge. ``window``
+    filters the result. Returns an ascending (possibly empty) list.
     """
     if not _ALPHA_BETA_MIN <= alpha_beta <= _ALPHA_BETA_MAX:
         raise ValueError(f"alpha_beta must be in [{_ALPHA_BETA_MIN:g}, {_ALPHA_BETA_MAX:g}], got {alpha_beta}")
@@ -252,54 +234,80 @@ def critical_delta21(alpha_beta: float, eta: int, *, window: Tuple[float, float]
         raise ValueError(f"window must be increasing and inside |delta21| <= {_DELTA21_MAX:g}, got {window}")
     ab = float(alpha_beta)
     if eta == RAO:
-        edges = [3.0 * _cbrt(ab / 4.0)]
+        edges = [_round_edge(3.0 * _cbrt(ab / 4.0), ab, RAO, -1)]
     else:
-        edges = _wao_edges(ab)
+        # in t = z - 1 and t = v - 1, where nothing cancels next to the
+        # resonance, from t = w and t = cbrt(w), which lie above the roots
+        w = math.sqrt(2.0 * ab)
+        quartic = lambda t: t * (4.0 + t * (6.0 + t * (4.0 + t)))  # (1 + t)^4 - 1
+        z = 1.0 + _newton_from_above(w, lambda t: (quartic(t) - w * (1.0 + t) ** 3, (1.0 + t) ** 2 * (4.0 + 4.0 * t - 3.0 * w)))
+        v = 1.0 + _newton_from_above(_cbrt(w), lambda t: (quartic(t) - w * (1.0 + t), 4.0 * (1.0 + t) ** 3 - w))
+        lower, upper = (3.0 / (z * z) - z * z) / 2.0, (3.0 * v * v - 1.0 / (v * v)) / 2.0
+        edges = [_round_edge(lower, ab, WAO, 1), _round_edge(upper, ab, WAO, -1)]
     return [e for e in edges if lo_w <= e <= hi_w]
 
 
-def _wao_indicator(d: float, ab: float) -> float:
-    """``threshold_lhs(d, ab, WAO) / ab``: the same sign and roots, but it does
-    not underflow where ab and the band width are tiny."""
-    r1, r2 = _root_pair(d, WAO)
-    return (ab - r1) * ((ab - r2) / (4.0 * ab))
+def _newton_from_above(t: float, g) -> float:
+    """Newton's iteration on ``g(t) -> (value, slope)``, increasing and convex
+    right of its root, from a ``t`` right of it: it descends to the root and
+    stops at the first step that does not lower ``t``."""
+    while True:
+        value, slope = g(t)
+        t_next = t - value / slope
+        if not t_next < t:
+            return t
+        t = t_next
 
 
-def _wao_edges(ab: float) -> List[float]:
-    """Ascending detunings where the eta = 1 class flips at alpha*beta = ab."""
-    # numpy.roots without its checks: the eigenvalues of the same companion matrix
-    # (at the one ab where the constant term is 0 it drops it; the edges agree)
-    companion = np.eye(4, k=-1)
-    companion[0] = -ab, 2.0, 9.0 * ab, -(1.0 - 6.75 * ab * ab)
-    z = np.linalg.eigvals(companion)
-    # they can hold two roots closer than LAPACK resolves as a complex
-    # pair with a small imaginary part; starting on both sides of the pair
-    # lets Newton reach each root from outside it. Above ab ~ 1e30 it loses
-    # the smaller roots to the one near -ab; the large-ab asymptotes of the
-    # two edges, -ab and (27ab/4)^(1/3), are started from as well.
-    z = z[np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z))]
-    starts = [*(z.real - np.abs(z.imag)).tolist(), *(z.real + np.abs(z.imag)).tolist(), -ab, 3.0 * _cbrt(ab / 4.0)]
-    top = _DELTA21_MAX
-    roots = set()
-    for x in dict.fromkeys(starts):  # equal starts take equal paths
-        x = min(max(x, -top), top)
-        f = _wao_indicator(x, ab)
-        for _ in range(100):  # guarded Newton: stop at the first step that does not lower |f|
-            slope = (9.0 - 3.0 * x * x + 4.0 * x * (1.0 - x) * (1.0 + x) / ab) / 27.0
-            try:
-                step = f / slope
-            except ZeroDivisionError:  # numpy's quotient: +-inf, or nan for 0/0
-                step = f * math.copysign(math.inf, slope) if f else math.nan
-            xn = min(max(x - step, -top), top)
-            if xn != xn:  # a nan step (0/0) is no step
-                break
-            fn = _wao_indicator(xn, ab)
-            if not abs(fn) < abs(f):
-                break
-            x, f = xn, fn
-        roots.add(x)
-    # keep a root where the indicator has opposite signs at the probes on
-    # either side of it: midway to its neighbours, or the ends of the range
-    x = sorted(roots)
-    unstable = [_wao_indicator(p, ab) > 0.0 for p in (-top, *(0.5 * (a + b) for a, b in zip(x, x[1:])), top)]
-    return [e for e, lo, hi in zip(x, unstable, unstable[1:]) if lo != hi]
+def _unstable(d, ab, eta: int) -> int:
+    """Exact sign of ``108*threshold_lhs = 27ab^2 + 4ab*d(9eta - d^2) - 4eta(1 - d^2)^2``.
+
+    ``ab`` is a float and ``d`` a float or a pair ``(p, q)`` of integers
+    standing for ``p/q`` with ``q > 0``. The polynomial times ``q^4`` and
+    the square of ``ab``'s denominator is evaluated in Python integers, so
+    with no rounding: 1 where the spectrum is unstable, -1 where it is
+    stable and 0 on the boundary.
+    """
+    (p, q), (a, b) = d if isinstance(d, tuple) else d.as_integer_ratio(), ab.as_integer_ratio()
+    p2, q2 = p * p, q * q
+    s = 27 * a * a * q2 * q2 + 4 * a * b * p * q * (9 * eta * q2 - p2) - 4 * eta * (b * (q2 - p2)) ** 2
+    return (s > 0) - (s < 0)
+
+
+def _rank(x: float) -> int:
+    """Position of ``x`` among the doubles: +-0 is 0 and neighbours differ by 1."""
+    (n,) = struct.unpack("<q", struct.pack("<d", x))
+    return n if n >= 0 else -(1 << 63) - n
+
+
+def _unrank(k: int) -> float:
+    """The double at position ``k`` (the inverse of :func:`_rank`)."""
+    return struct.unpack("<d", struct.pack("<q", k if k >= 0 else -(1 << 63) - k))[0]
+
+
+def _round_edge(estimate: float, ab: float, eta: int, rising: int) -> float:
+    """The double nearest the root of ``_unstable(., ab, eta)`` on one side
+    of ``delta21 = eta``: below it if ``rising`` is 1, above it if -1, where
+    ``rising * _unstable`` goes from -1 left of the root to 1 right of it.
+
+    ``delta21 = eta`` is unstable at every ab > 0 (the indicator is
+    ``27ab^2`` there for eta = 0 and ``27ab^2 + 32ab`` for eta = 1), and the
+    search stays on the root's side of it. From ``estimate``, on that side
+    too, it gallops until the sign flips, bisects to two neighbouring
+    doubles and returns the one on the root's side of their exact midpoint
+    (the lower one on a tie).
+    """
+    right = lambda x: rising * _unstable(x, ab, eta) >= 0
+    pivot, k, side = _rank(float(eta)), _rank(estimate), right(estimate)
+    step = -1 if side else 1
+    while True:
+        probe = pivot if rising * (k + step - pivot) > 0 else k + step
+        if right(_unrank(probe)) != side:
+            break
+        k, step = probe, 2 * step
+    lo, hi = sorted((k, probe))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if right(_unrank(mid)) else (mid, hi)
+    (p, q), (r, s) = _unrank(lo).as_integer_ratio(), _unrank(hi).as_integer_ratio()
+    return _unrank(lo) if right((p * s + r * q, 2 * q * s)) else _unrank(hi)

@@ -208,11 +208,12 @@ def threshold_map(
     delta21 (see :func:`carl.spectrum.critical_alpha_beta`), the nonnegative
     root of :func:`carl.spectrum.threshold_lhs` as a quadratic in alpha*beta. It is
     evaluated in closed form on ``resolution`` equally spaced detunings, and
-    the exact points where it crosses the lower and upper edges of
-    ``alpha_beta_range`` (from :func:`carl.spectrum.critical_delta21`) are
-    added as vertices, so a piece narrower than one grid cell is still
-    found. The curve is split into branches wherever it leaves the window.
-    Every vertex lies on the boundary up to rounding.
+    the detunings where it crosses the lower and upper edges of
+    ``alpha_beta_range``, correctly rounded (from
+    :func:`carl.spectrum.critical_delta21`), are added as vertices, so a
+    piece narrower than one grid cell is still found. The curve is split
+    into branches wherever it leaves the window. Every vertex lies on the
+    boundary up to rounding.
 
     Returns a list of (n, 2) arrays with columns (delta21, alpha_beta):
     branches in ascending delta21, and the vertices of each in ascending

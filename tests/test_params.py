@@ -1,7 +1,9 @@
 """Physical-to-dimensionless mapping tests."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -179,6 +181,18 @@ class TestInvariantValidation:
         assert s.alpha_beta == 2.0 and s.delta21 == 0.5 and s.eta == WAO
         with pytest.raises(ValueError):
             ScaledParams.from_product(0.0, -1.0, RAO)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_from_product_names_a_bad_alpha_beta(self, value):
+        # a non-finite product was once reported as a bad alpha
+        with pytest.raises(ValueError, match=re.escape(f"alpha_beta must be finite and >= 0, got {value!r}")):
+            ScaledParams.from_product(0.5, value, WAO)
+
+    @pytest.mark.parametrize("eta", [True, False, np.True_, np.False_])
+    def test_scaled_rejects_bool_eta(self, eta):
+        # True equals 1, and was written to a trajectory header as eta=True
+        with pytest.raises(ValueError, match=re.escape("eta must be exactly 0 (RAO) or 1 (WAO)")):
+            ScaledParams(delta21=0.5, alpha=1.0, beta=1.0, eta=eta)
 
 
 @settings(max_examples=200, derandomize=True)

@@ -2,8 +2,10 @@
 
 import math
 import re
+import struct
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from carl import (
     spectrum_arrays,
     threshold_lhs,
 )
-from carl.spectrum import _DELTA21_MAX, _alpha_beta_roots, _cbrt, _root_pair, _wao_edges
+from carl.spectrum import _DELTA21_MAX, _alpha_beta_roots, _cbrt, _unstable
 
 SQRT3_HALF = 0.86602540378443865  # sqrt(3)/2
 WAO_ZERO_DETUNING_THRESHOLD = 0.38490017945975051  # 2/(3*sqrt(3))
@@ -297,7 +299,7 @@ class TestCriticalDelta21:
             critical_delta21(0.0, WAO)
 
     def test_rejects_ab_outside_normal_range(self):
-        # a subnormal alpha_beta would lose the WAO band edges to overflow
+        # alpha_beta must be a normal float, at most 1e150
         with pytest.raises(ValueError, match="alpha_beta"):
             critical_delta21(1e-310, WAO)
         with pytest.raises(ValueError, match="alpha_beta"):
@@ -496,6 +498,8 @@ class TestSpectrumArrays:
             (([0.0, np.inf], 1.0, RAO), "delta21 must be finite"),
             ((0.0, [1.0, np.nan], WAO), "alpha_beta must be finite"),
             ((0.0, 1.0, [0, 2]), "eta must be exactly 0 (RAO) or 1 (WAO), got 2"),
+            ((0.0, 1.0, True), "eta must be exactly 0 (RAO) or 1 (WAO), got True"),
+            ((0.0, 1.0, [False, True]), "eta must be exactly 0 (RAO) or 1 (WAO), got False"),
         ],
     )
     def test_bad_inputs_are_named_errors(self, args, message):
@@ -543,62 +547,85 @@ def test_closed_form_at_large_alpha_beta_within_4_ulps():
     assert abs(got - expected) <= 4 * math.ulp(expected)
 
 
-def reference_wao_edges(ab):
-    """The former array form of ``carl.spectrum._wao_edges``: every Newton start
-    polished in one array, a start frozen at its first step that does not
-    lower |indicator|, until no start improves."""
-
-    def indicator(d):
-        r1, r2 = _alpha_beta_roots(d, WAO)
-        return (ab - r1) * ((ab - r2) / (4.0 * ab))
-
-    z = np.roots([1.0, ab, -2.0, -9.0 * ab, 1.0 - 6.75 * ab * ab])
-    z = z[np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z))]
-    x = np.concatenate([z.real - np.abs(z.imag), z.real + np.abs(z.imag), [-ab, 3.0 * _cbrt(ab / 4.0)]])
-    x = np.clip(x, -_DELTA21_MAX, _DELTA21_MAX)
-    with np.errstate(all="ignore"):
-        f = indicator(x)
-        for _ in range(100):
-            slope = (9.0 - 3.0 * x * x + 4.0 * x * (1.0 - x) * (1.0 + x) / ab) / 27.0
-            xn = np.clip(x - f / slope, -_DELTA21_MAX, _DELTA21_MAX)
-            xn = np.where(np.isfinite(xn), xn, x)
-            fn = indicator(xn)
-            better = np.abs(fn) < np.abs(f)
-            if not better.any():
-                break
-            x, f = np.where(better, xn, x), np.where(better, fn, f)
-        x = np.unique(x)
-        probes = np.concatenate([[-_DELTA21_MAX], 0.5 * (x[:-1] + x[1:]), [_DELTA21_MAX]])
-        unstable = indicator(probes) > 0.0
-    return [float(e) for e in x[unstable[:-1] != unstable[1:]]]
-
-
 def _bits(values):
     return [None if v is None else float(v).hex() for v in values]
 
 
+def exact_lhs_times_108(d, ab, eta):
+    """``108*threshold_lhs`` from its docstring polynomial, in fractions: with
+    ``u = d/3``, ``(ab/2)^2 + ab*u*(eta - u^2) - eta*(1 - 9u^2)^2/27``."""
+    d, ab = Fraction(d), Fraction(ab)
+    u = d / 3
+    return 108 * ((ab / 2) ** 2 + ab * u * (eta - u * u) - eta * (1 - 9 * u * u) ** 2 / 27)
+
+
+def exact_sign(x):
+    return (x > 0) - (x < 0)
+
+
+FINITE_FROM_BITS = st.integers(0, 2**64 - 1).map(lambda n: struct.unpack("<d", struct.pack("<Q", n))[0]).filter(math.isfinite)
+LOG_UNIFORM = st.builds(lambda s, e: s * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-320.0, 300.0))
+
+
+@pytest.mark.parametrize("eta", [RAO, WAO])
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(d=st.one_of(FINITE_FROM_BITS, LOG_UNIFORM), ab=st.one_of(FINITE_FROM_BITS, LOG_UNIFORM).map(abs))
+@example(d=2.75, ab=2.25)  # on the WAO boundary: x = 2 in ab = (x^2 - 1)^2/2x, d = (3x^2 - 1)/2x
+@example(d=3.0, ab=4.0)  # on the RAO boundary ab = 4d^3/27
+@example(d=1.0, ab=sys.float_info.min)
+@example(d=-sys.float_info.max, ab=sys.float_info.max)
+@example(d=5e-324, ab=5e-324)
+def test_unstable_is_the_exact_sign_of_the_indicator(d, ab, eta):
+    assert _unstable(d, ab, eta) == exact_sign(exact_lhs_times_108(d, ab, eta))
+    # d as a pair (p, q): the midpoint to its upper neighbour, which is no double
+    mid = Fraction(d) + Fraction(math.ulp(d)) / 2
+    assert _unstable(mid.as_integer_ratio(), ab, eta) == exact_sign(exact_lhs_times_108(mid, ab, eta))
+
+
+CARLBENCH_EDGE_QUERIES = [3.3018366875322775, 0.6739461058938351, 0.008238095108849326, 2.2467024527091355, 3.507841285904287, 4.01735951995301]
+
+
+@pytest.mark.parametrize("eta", [RAO, WAO])
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(ab=st.floats(math.log10(sys.float_info.min), 150.0).map(lambda e: min(max(10.0**e, sys.float_info.min), 1e150)))
 @example(ab=1e-8)  # the workload's band narrower than any scan step
 @example(ab=0.05)  # the threshold map's lower window edge
 @example(ab=40.0)  # and its upper one
-@example(ab=WAO_ZERO_DETUNING_THRESHOLD)  # the one ab where the quartic's constant term is 0: numpy.roots drops it
-@example(ab=1e30)  # numpy.roots starts to lose the smaller roots to the one near -ab
-@example(ab=1e100)  # the start -ab is clipped to the detuning range
-@example(ab=2.0955345732413593e101)  # where an unclipped start -ab gave other edges
+@example(ab=WAO_ZERO_DETUNING_THRESHOLD)  # the WAO lower edge next to delta21 = 0, the slowest query
+@example(ab=1e30)
+@example(ab=1e100)  # the WAO lower edge next to -1e100, the end of the detuning range
+@example(ab=2.0955345732413593e101)
 @example(ab=1e150)
-@example(ab=sys.float_info.min)
-def test_wao_edges_equal_the_array_iteration_bit_for_bit(ab):
-    """One Newton per distinct start, in float arithmetic, reaches the doubles
-    the array iteration reached, and keeps the same edges."""
-    expected = _bits(reference_wao_edges(ab))
-    assert _bits(_wao_edges(ab)) == expected
-    assert _bits(critical_delta21(ab, WAO, window=(-_DELTA21_MAX, _DELTA21_MAX))) == expected
+@example(ab=sys.float_info.min)  # both WAO edges round to 1.0
+@example(ab=CARLBENCH_EDGE_QUERIES[0])  # the carlbench queries whose edges moved to the nearest double
+@example(ab=CARLBENCH_EDGE_QUERIES[1])
+@example(ab=CARLBENCH_EDGE_QUERIES[2])
+@example(ab=CARLBENCH_EDGE_QUERIES[3])
+@example(ab=CARLBENCH_EDGE_QUERIES[4])
+@example(ab=CARLBENCH_EDGE_QUERIES[5])
+def test_every_edge_is_the_double_nearest_its_root(ab, eta):
+    """Each edge's true root lies between the midpoints to the edge's two
+    neighbouring doubles, by the exact sign of the indicator there."""
+    lhs = lambda x: exact_lhs_times_108(x, ab, eta)
+    edges = critical_delta21(ab, eta, window=(-_DELTA21_MAX, _DELTA21_MAX))
+    if eta == RAO:
+        # unstable below the one edge, stable above it
+        past_root = [lambda x: -lhs(x)]
+    else:
+        # delta21 = 1 is unstable, and each side of it holds one edge; the
+        # lower one is dropped where it rounds below -1e100
+        assert lhs(1) > 0
+        past_root = [lambda x: lhs(min(x, Fraction(1))), lambda x: -lhs(max(x, Fraction(1)))]
+        if lhs((Fraction(-_DELTA21_MAX) + Fraction(math.nextafter(-_DELTA21_MAX, -math.inf))) / 2) >= 0:
+            past_root = past_root[1:]
+    assert len(edges) == len(past_root) and edges == sorted(edges)
+    for edge, past in zip(edges, past_root):
+        below, above = ((Fraction(edge) + Fraction(math.nextafter(edge, side))) / 2 for side in (-math.inf, math.inf))
+        assert past(below) <= 0 <= past(above), (edge, ab, eta)
 
 
 def assert_one_point_roots_equal_the_array_roots(d, eta):
-    r1, r2 = _alpha_beta_roots(d, eta)
-    assert _bits(_root_pair(d, eta)) == _bits([r1, r2])
+    r1 = _alpha_beta_roots(d, eta)[0]
     assert _bits([critical_alpha_beta(d, eta)]) == _bits([float(r1) or None])
 
 
@@ -612,13 +639,10 @@ def test_one_point_roots_equal_the_array_roots_at_edge_detunings(d, eta):
 
 
 def test_one_point_roots_equal_the_array_roots_on_a_dense_grid():
-    # b and r are of similar size here, where np.hypot and math.hypot can
-    # differ in the last bit
     d = np.concatenate([np.linspace(-6.0, 6.0, 12001), np.linspace(0.999, 1.001, 2001)])
     for eta in (RAO, WAO):
-        r1, r2 = _alpha_beta_roots(d, eta)
-        got = [x for v in d.tolist() for x in _root_pair(v, eta)]
-        assert _bits(got) == _bits(np.column_stack([r1, r2]).ravel())
+        got = [critical_alpha_beta(v, eta) for v in d.tolist()]
+        assert _bits(got) == _bits([x or None for x in _alpha_beta_roots(d, eta)[0].tolist()])
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)

@@ -21,7 +21,9 @@ the search for |B| > 1 runs only in a chunk whose states come near that
 size. :func:`propagator` gives the exact ``exp(tau*M)`` by scaling and
 squaring its Taylor series, an oracle independent of the stepper.
 Exponential growth rates are extracted from trajectories by
-:func:`fit_growth_rate` and compared against the spectrum's gamma.
+:func:`fit_growth_rate` and compared against the spectrum's gamma: the
+least-squares line through ``math.log`` of |A1| in closed form from centred
+sums, each taken with ``math.fsum``, so the fit calls no LAPACK.
 """
 
 from __future__ import annotations
@@ -393,8 +395,11 @@ def fit_growth_rate(traj: Trajectory, window: Tuple[float, float]) -> float:
 
     Reads the ``tau`` column and |A1| of the ``y`` column of ``traj``.
     Intended for late windows where the dominant eigenmode has taken over;
-    there the slope equals the spectral growth rate gamma. If the rms
-    residual of the straight-line fit exceeds 1e-2 the signal is not
+    there the slope equals the spectral growth rate gamma. The line through
+    ``y = math.log(|A1|)`` is closed-form, from centred sums each taken with
+    ``math.fsum`` (no LAPACK): ``slope = fsum((t - t_bar)(y - y_bar)) /
+    fsum((t - t_bar)^2)``, intercept ``y_bar - slope*t_bar``. If the rms
+    residual ``sqrt(fsum(r^2)/n)`` exceeds 1e-2 the signal is not
     exponential (oscillatory, below threshold) and
     :class:`NonExponentialFitError` is raised.
     """
@@ -409,16 +414,18 @@ def fit_growth_rate(traj: Trajectory, window: Tuple[float, float]) -> float:
     mask = (taus >= lo) & (taus <= hi)
     if int(mask.sum()) < 5:
         raise ValueError(f"window {window} contains fewer than 5 samples; widen it or reduce the stride")
-    mags = traj.probe_magnitudes()[mask]
-    if np.any(mags == 0.0):
+    mags = traj.probe_magnitudes()[mask].tolist()
+    if 0.0 in mags:
         raise ValueError("|A1| vanishes inside the window; growth rate undefined")
-    t = taus[mask]
-    logmag = np.log(mags)
-    slope, intercept = np.polyfit(t, logmag, 1)
-    residual = float(np.sqrt(np.mean((logmag - (slope * t + intercept)) ** 2)))
+    t, y = taus[mask].tolist(), list(map(math.log, mags))
+    n = len(t)
+    t_bar, y_bar = math.fsum(t) / n, math.fsum(y) / n
+    dt, dy = [v - t_bar for v in t], [v - y_bar for v in y]
+    slope = math.fsum(a * b for a, b in zip(dt, dy)) / math.fsum(v * v for v in dt)
+    residual = math.sqrt(math.fsum((b - slope * a) ** 2 for a, b in zip(dt, dy)) / n)
     if residual > 1e-2:
         raise NonExponentialFitError(residual=residual, bound=1e-2)
-    return float(slope)
+    return slope
 
 
 def write_trajectory_csv(traj: Trajectory, path_or_file: PathOrFile) -> None:

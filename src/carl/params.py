@@ -106,6 +106,13 @@ class PhysicalParams:
             raise ValueError("omega0 == omega2: far-off-resonance model undefined at exact resonance")
 
 
+def _check_eta(eta) -> None:
+    """Refuse a regime ``eta`` other than exactly 0 (RAO) or 1 (WAO) with ``ValueError``."""
+    # a bool equals 0 or 1 but names no regime (numpy's bool is no Number)
+    if isinstance(eta, bool) or not isinstance(eta, numbers.Number) or eta not in (RAO, WAO):
+        raise ValueError(f"eta must be exactly 0 (RAO) or 1 (WAO), got {eta!r}")
+
+
 @dataclass(frozen=True)
 class ScaledParams:
     """Dimensionless control set of the linearized CARL.
@@ -124,9 +131,7 @@ class ScaledParams:
         for name in ("delta21", "alpha", "beta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        # a bool equals 0 or 1 but names no regime (numpy's bool is no Number)
-        if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Number) or self.eta not in (RAO, WAO):
-            raise ValueError(f"eta must be exactly 0 (RAO) or 1 (WAO), got {self.eta!r}")
+        _check_eta(self.eta)
         if self.alpha * self.beta < 0:
             raise ValueError(
                 "alpha and beta must share their sign (both follow sign(omega0 - omega2)); "

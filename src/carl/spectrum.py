@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from carl.cubic import solve_cubics
-from carl.params import RAO, WAO
+from carl.params import RAO, WAO, _check_eta
 
 __all__ = [
     "spectrum_arrays",
@@ -149,8 +149,7 @@ def _alpha_beta_roots(delta21, eta):
     are accurate to a few ulps, also next to the recoil resonance.
     Accepts scalars or arrays; returns arrays.
     """
-    if eta not in (RAO, WAO):
-        raise ValueError(f"eta must be 0 (RAO) or 1 (WAO), got {eta!r}")
+    _check_eta(eta)
     d = np.asarray(delta21, dtype=float)
     in_range = np.abs(d) <= _DELTA21_MAX
     if not np.all(in_range):
@@ -227,8 +226,7 @@ def critical_delta21(alpha_beta: float, eta: int, *, window: Tuple[float, float]
     """
     if not _ALPHA_BETA_MIN <= alpha_beta <= _ALPHA_BETA_MAX:
         raise ValueError(f"alpha_beta must be in [{_ALPHA_BETA_MIN:g}, {_ALPHA_BETA_MAX:g}], got {alpha_beta}")
-    if eta not in (RAO, WAO):
-        raise ValueError(f"eta must be 0 (RAO) or 1 (WAO), got {eta!r}")
+    _check_eta(eta)
     lo_w, hi_w = window
     if not -_DELTA21_MAX <= lo_w < hi_w <= _DELTA21_MAX:
         raise ValueError(f"window must be increasing and inside |delta21| <= {_DELTA21_MAX:g}, got {window}")

@@ -11,6 +11,7 @@ import re
 import struct
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from carl import (
 )
 from carl.dynamics import _BLOCK, _rk4_step_matrix
 from carl.dynamics import _CHUNK, NonFiniteStateError
+from carl.sweep import SweepSpec, validate_sweep
 
 SEED_STATE = TrajectoryState(tau=0.0, A1=1e-6 + 0j, B=0j, Bdot=0j)
 
@@ -222,6 +224,23 @@ class TestPropagatorOracle:
         assert 11.0 <= ratio <= 22.0  # ~16x for a fourth-order scheme
 
 
+def exact_line_fit(t, y):
+    """The least-squares slope of ``y`` on ``t`` and the mean squared residual, in exact rational arithmetic."""
+    n, t, y = len(t), [Fraction(v) for v in t], [Fraction(v) for v in y]
+    s_t, s_y = sum(t), sum(y)
+    sxx = sum(a * a for a in t) - s_t * s_t / n
+    sxy = sum(a * b for a, b in zip(t, y)) - s_t * s_y / n
+    syy = sum(b * b for b in y) - s_y * s_y / n
+    return sxy / sxx, (syy - sxy * sxy / sxx) / n
+
+
+def exponential_trajectory(t, log_mags):
+    """A trajectory whose |A1| is ``math.exp`` of ``log_mags`` at the times ``t`` (B and Bdot 0)."""
+    y = np.zeros((len(t), 3), dtype=complex)
+    y[:, 0] = [math.exp(v) for v in log_mags]
+    return Trajectory(tau=np.array(t), y=y, params=ScaledParams.from_product(0.0, 1.0, WAO), dt=1e-3)
+
+
 class TestFitGrowthRate:
     def test_wao_rate_recovered(self):
         p = ScaledParams.from_product(0.0, 1.0, WAO)
@@ -273,6 +292,62 @@ class TestFitGrowthRate:
         ]
         assert errors[-1] <= 0.01
         assert errors[2] <= errors[0]
+
+    # |A1| is drawn with + - * / and math.exp alone: numpy's exp and power take SIMD paths
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(5, 400),
+        log_slope=st.floats(math.log(1e-3), math.log(1e2)),
+        t0=st.floats(0.0, 1e4),
+        step=st.floats(1e-3, 1.0),
+        y0=st.floats(-20.0, 0.0),
+        ripple=st.floats(0.0, 10.0),
+    )
+    def test_slope_matches_exact_least_squares(self, n, log_slope, t0, step, y0, ripple):
+        slope = math.exp(log_slope)
+        step = min(step, 600.0 / (slope * (n - 1)))  # ln|A1| rises by at most 600
+        t = [t0 + i * step for i in range(n)]
+        # a ripple of up to 10x the line's rise, with an rms under half the residual bound
+        amp = min(ripple * slope * (t[-1] - t0), 5e-3)
+        log_mags = [y0 + slope * (v - t0) + amp * ((i * 7) % 5 - 2) / 2 for i, v in enumerate(t)]
+        traj = exponential_trajectory(t, log_mags)
+        exact, _ = exact_line_fit(t, [math.log(v) for v in traj.probe_magnitudes().tolist()])
+        fitted = fit_growth_rate(traj, (t[0], t[-1]))
+        assert abs(Fraction(fitted) - exact) <= Fraction(1e-12) * abs(exact)
+
+    @pytest.mark.parametrize("rms", [0.999e-2, 1.001e-2])
+    def test_residual_bound(self, rms):
+        t = [10.0 + 0.1 * i for i in range(50)]
+        sign = [1 - 2 * (i % 2) for i in range(50)]
+        _, unit = exact_line_fit(t, sign)
+        amp = rms / math.sqrt(unit)  # the alternating ripple with this rms residual about its fitted line
+        traj = exponential_trajectory(t, [-5.0 + 0.5 * (v - 10.0) + amp * c for v, c in zip(t, sign)])
+        _, mean_square = exact_line_fit(t, [math.log(v) for v in traj.probe_magnitudes().tolist()])
+        if rms < 1e-2:
+            assert mean_square < Fraction(1e-2) ** 2
+            assert fit_growth_rate(traj, (t[0], t[-1])) == pytest.approx(0.5, rel=1e-3)
+        else:
+            assert mean_square > Fraction(1e-2) ** 2
+            with pytest.raises(NonExponentialFitError) as excinfo:
+                fit_growth_rate(traj, (t[0], t[-1]))
+            assert excinfo.value.residual == pytest.approx(math.sqrt(mean_square), rel=1e-12)
+            assert excinfo.value.bound == 1e-2
+
+    def test_fit_calls_no_lapack(self, monkeypatch):
+        # np.polyfit's first LAPACK least-squares call adds about 1.2 MB to a process's peak RSS
+        def refuse(*args, **kwargs):
+            raise AssertionError("the growth-rate fit called LAPACK")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        p = ScaledParams.from_product(0.0, 1.0, WAO)
+        g = growth_rate(p)
+        traj = evolve(p, SEED_STATE, tau_end=60.0 / g, dt=5e-3, output_stride=20)
+        assert abs(fit_growth_rate(traj, (30.0 / g, 60.0 / g)) - g) / g <= 0.01
+        report = validate_sweep(SweepSpec(axis="delta21", start=-2.0, stop=3.0, num_points=101, fixed=1.0), 10, seed=3)
+        assert {e.regime for e in report.entries} == {"RAO", "WAO"}
+        assert {e.regime for e in report.entries if e.gamma_fit is not None} == {"RAO", "WAO"}
+        assert report.mismatches() == []
 
 
 class TestStableBound:

@@ -661,8 +661,20 @@ def test_one_point_roots_equal_the_array_roots(log_d, sign, eta):
     ids=["critical_alpha_beta", "threshold_lhs", "critical_delta21"],
 )
 def test_eta_other_than_0_or_1_is_a_named_error(query):
-    with pytest.raises(ValueError, match=re.escape("eta must be 0 (RAO) or 1 (WAO), got 2")):
+    with pytest.raises(ValueError, match=re.escape("eta must be exactly 0 (RAO) or 1 (WAO), got 2")):
         query(2)
+
+
+@pytest.mark.parametrize("eta", [True, False, np.True_])
+@pytest.mark.parametrize(
+    "query",
+    [lambda eta: critical_alpha_beta(0.5, eta), lambda eta: threshold_lhs(0.0, 1.0, eta), lambda eta: critical_delta21(1.0, eta)],
+    ids=["critical_alpha_beta", "threshold_lhs", "critical_delta21"],
+)
+def test_bool_eta_is_a_named_error(query, eta):
+    # a bool equals 0 or 1 but names no regime, as in ScaledParams and spectrum_arrays
+    with pytest.raises(ValueError, match=re.escape(f"eta must be exactly 0 (RAO) or 1 (WAO), got {eta!r}")):
+        query(eta)
 
 
 @pytest.mark.parametrize("eta", [RAO, WAO])

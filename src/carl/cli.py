@@ -231,6 +231,9 @@ def _complex(value) -> complex:
     return complex(value)
 
 
+_STATE = _checked(_complex, np.isfinite, "must be finite")
+
+
 # ---------------------------------------------------------------------------
 # mode handlers
 # ---------------------------------------------------------------------------
@@ -399,9 +402,9 @@ MODES: Dict[str, Mode] = {
             Option(("--tau-end",), "tau_end", float, REQUIRED, "final scaled time tau"),
             Option(("--dt",), "dt", float, 1e-3, "integrator step in scaled time (default 1e-3)"),
             Option(("--stride",), "stride", _SIZE, 100, "output every N steps (default 100)"),
-            Option(("--a1-seed",), "a1_seed", _complex, 1e-6, "initial probe amplitude A1(0), real (default 1e-6)"),
-            Option(("--b0",), "b0", _complex, 0.0, "initial bunching B(0), real (default 0)"),
-            Option(("--bdot0",), "bdot0", _complex, 0.0, "initial dB/dtau, real (default 0)"),
+            Option(("--a1-seed",), "a1_seed", _STATE, 1e-6, "initial probe amplitude A1(0), real (default 1e-6)"),
+            Option(("--b0",), "b0", _STATE, 0.0, "initial bunching B(0), real (default 0)"),
+            Option(("--bdot0",), "bdot0", _STATE, 0.0, "initial dB/dtau, real (default 0)"),
             Option(("-o", "--output"), "output", _TEXT, REQUIRED, "trajectory CSV path"),
         ),
     ),

@@ -8,6 +8,8 @@ into one with real coefficients, so only the real case is needed.
 coefficients and runs every branch (trigonometric, Cardano, repeated roots,
 Newton polish, power-of-two rescaling, dominant-root deflation) by mask,
 per element, into a :class:`CubicArrays`; one cubic is an array of one row.
+The polish works on a branch's (3, n) or (2, n) starts at once, its (n,)
+coefficients broadcast against them.
 :func:`companion_roots` (eigenvalues of the companion matrix) shares none
 of it and is the oracle the test suite checks it against.
 """
@@ -43,40 +45,35 @@ class CubicArrays(NamedTuple):
 
     ``roots`` is (n, 3) complex: three real roots ascending, or the real
     root, then the pair member with positive imaginary part, then its
-    conjugate. ``three_real`` follows the exact sign of ``discriminant``,
-    except that a pair which polishing takes to imaginary part exactly 0 (a
-    double real root that rounding placed just inside the pair region)
-    counts as three real roots. ``discriminant`` is that of the caller's
-    monic polynomial: positive for three distinct real roots, negative for
-    a real root and a pair, zero for a repeated root; far from roots of
-    order 1 it saturates to +-0 or +-inf with its sign kept. ``normalized``
-    is the scale-free discriminant and ``boundary`` is
+    conjugate. ``three_real`` follows the exact sign of the discriminant,
+    which ``normalized`` carries scale-free (positive for three distinct
+    real roots, negative for a real root and a pair, zero for a repeated
+    root), except that a pair which polishing takes to imaginary part
+    exactly 0 (a double real root that rounding placed just inside the pair
+    region) counts as three real roots. ``boundary`` is
     ``|normalized| <= DEFAULT_BOUNDARY_TOL``.
     """
 
     roots: np.ndarray
     three_real: np.ndarray
-    discriminant: np.ndarray
     normalized: np.ndarray
     boundary: np.ndarray
 
 
 def _polish(x: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     # <= 3 guarded Newton steps per element on the monic polynomial, real or
-    # complex. An element takes a step only while |f| decreases (at f = 0 or
-    # f' = 0 the step fails that test), and only the elements still
-    # improving are carried to the next step.
-    x = x.copy()
-    live, x1, b1, c1, d1 = np.arange(x.size), x, b, c, d
-    f1 = ((x + b) * x + c) * x + d
+    # complex, over x of any shape with the (n,) coefficients broadcast along
+    # its last axis. An element takes a step only while |f| decreases (at f = 0
+    # or f' = 0 the step fails that test); one that fails is retried from the
+    # same x and fails again, so it keeps the value where it stopped.
+    f = ((x + b) * x + c) * x + d
     for _ in range(3):
-        xn = x1 - f1 / ((3.0 * x1 + 2.0 * b1) * x1 + c1)
-        fn = ((xn + b1) * xn + c1) * xn + d1
-        k = (abs(fn) < abs(f1)).nonzero()[0]
-        if not k.size:
+        xn = x - f / ((3.0 * x + 2.0 * b) * x + c)
+        fn = ((xn + b) * xn + c) * xn + d
+        better = abs(fn) < abs(f)
+        if not better.any():
             break
-        live, x1, b1, c1, d1, f1 = live[k], xn[k], b1[k], c1[k], d1[k], fn[k]
-        x[live] = x1
+        x, f = np.where(better, xn, x), np.where(better, fn, f)
     return x
 
 
@@ -96,7 +93,7 @@ def _three_real(p, q, shift, b, c, d):
     # cos(3*theta) = 3q / (p*m); clamp against rounding at the boundary
     theta = np.arccos(np.clip(3.0 * q / (p * m), -1.0, 1.0)) / 3.0
     ts = m * np.cos(theta - 2.0 * math.pi * np.arange(3.0)[:, None] / 3.0) + shift
-    return _polish(ts.ravel(), *(np.concatenate((k, k, k)) for k in (b, c, d))).reshape(3, -1), 0.0
+    return _polish(ts, b, c, d), 0.0
 
 
 def _one_pair(p, q, shift, b, c, d):
@@ -107,12 +104,11 @@ def _one_pair(p, q, shift, b, c, d):
     u = np.cbrt(np.where(q != 0.0, -q / 2.0 - np.copysign(s, q), s))
     v = np.where(u != 0.0, -p / (3.0 * u), 0.0)
     # the real root and the +imag member of the pair, polished together
-    z = np.zeros(2 * p.size, complex)
-    z.real = np.concatenate((u + v, -(u + v) / 2.0)) + np.concatenate((shift, shift))
-    z.imag[p.size :] = math.sqrt(3.0) / 2.0 * abs(u - v)
-    z = _polish(z, *(np.concatenate((k, k)) for k in (b, c, d)))
-    real, pair = z[: p.size].real, z[p.size :]
-    return np.stack((real, pair.real, pair.real)), abs(pair.imag)
+    z = np.zeros((2, p.size), complex)
+    z.real = np.stack((u + v, -(u + v) / 2.0)) + shift
+    z.imag[1] = math.sqrt(3.0) / 2.0 * abs(u - v)
+    real, pair = _polish(z, b, c, d)
+    return np.stack((real.real, pair.real, pair.real)), abs(pair.imag)
 
 
 def _repeated(p, q, shift, b, c, d):
@@ -127,10 +123,11 @@ def solve_cubics(b, c, d) -> CubicArrays:
 
     Every step is taken per element, by mask. Three distinct real roots come
     from the trigonometric method, one real root and a conjugate pair from
-    Cardano with cancellation-safe radicals, both Newton-polished; a zero
-    discriminant is a triple root (``p == 0``) or a double root. The pair is
-    symmetrized exactly (the second member is the mirror of the polished
-    first), so sign tests on real parts are reliable.
+    Cardano with cancellation-safe radicals, both Newton-polished (all the
+    starts of a branch in one broadcast array); a zero discriminant is a
+    triple root (``p == 0``) or a double root. The pair is symmetrized
+    exactly (the second member is the mirror of the polished first), so sign
+    tests on real parts are reliable.
 
     Rows whose largest monic coefficient is outside [2^-128, 2^128] are
     solved for ``y = x / 2**k`` (Blinn, "How to Solve a Cubic Equation",
@@ -142,7 +139,7 @@ def solve_cubics(b, c, d) -> CubicArrays:
     Where one real root ``r0`` exceeds the other two by more than 2^20, the
     discriminant's sign is lost to rounding: those two then come from the
     quadratic factor ``x^2 + s1 x + s0`` (``s0 = -d/r0``, ``s1 = (s0 - c)/r0``),
-    which also sets the nature, the discriminant and the boundary flag.
+    which also sets the nature and the boundary flag.
     Where ``s0`` falls below the normal float range, the quadratic is formed
     for ``y = x / 2**k`` at the binary exponent ``k`` of its root scale, so a
     pair of normal size is not lost with it.
@@ -179,7 +176,7 @@ def solve_cubics(b, c, d) -> CubicArrays:
             if i.size:
                 x[:, i], y[i] = branch(p[i], q[i], shift[i], b[i], c[i], d[i])
         if k is not None:
-            x, y, disc = np.ldexp(x, k), np.ldexp(y, k), np.ldexp(disc, 6 * k)
+            x, y = np.ldexp(x, k), np.ldexp(y, k)
 
         # deflation by a dominant real root r0, the first of largest magnitude:
         # x^3 + b x^2 + c x + d = (x - r0)(x^2 + s1 x + s0), by Vieta from c
@@ -209,9 +206,6 @@ def solve_cubics(b, c, d) -> CubicArrays:
                 s1[low] = (np.ldexp(s0[low], k[low]) - np.ldexp(c0[low], -k[low])) / r0[low]
             h = -s1 / 2.0
             dq = h * h - s0  # a quarter of the quadratic's discriminant
-            g = r0 * (r0 + np.ldexp(s1, k)) + np.ldexp(s0, 2 * k)  # (r0 - r1)(r0 - r2)
-            gm, eg = np.frexp(g)  # g^2 can overflow where the discriminant does not
-            disc[i] = np.where(dq == 0.0, 0.0, np.ldexp(4.0 * dq * gm * gm, 2 * (k + eg)))
             norm = h * h + abs(s0)
             normalized[i] = np.where(norm != 0.0, dq / norm, dq)
             t = h + np.copysign(np.sqrt(dq), h)
@@ -225,24 +219,17 @@ def solve_cubics(b, c, d) -> CubicArrays:
     roots.real = np.where(pair, x, np.sort(x, axis=0, kind="stable")).T
     roots.imag[:, 1] = y
     roots.imag[:, 2] = np.where(pair, -y, 0.0)
-    return CubicArrays(roots, ~pair, disc, normalized, abs(normalized) <= DEFAULT_BOUNDARY_TOL)
+    return CubicArrays(roots, ~pair, normalized, abs(normalized) <= DEFAULT_BOUNDARY_TOL)
 
 
-def companion_roots(b: float, c: float, d: float) -> Tuple[Tuple[complex, complex, complex], float]:
-    """Roots of ``x^3 + b x^2 + c x + d`` from the companion matrix, and its discriminant.
+def companion_roots(b: float, c: float, d: float) -> Tuple[complex, complex, complex]:
+    """Roots of ``x^3 + b x^2 + c x + d`` from the companion matrix.
 
     The cross-check oracle, independent of :func:`solve_cubics`: no closed
     forms, no polishing, no conjugate symmetrization. The eigenvalues come
     sorted by real, then imaginary part; those of three real roots may
-    therefore carry tiny spurious imaginary parts. The discriminant is the
-    product of the squared root differences, formed at a power-of-two root
-    scale and scaled back.
+    therefore carry tiny spurious imaginary parts.
     """
     comp = np.array([[0.0, 0.0, -d], [1.0, 0.0, -c], [0.0, 1.0, -b]])
     eigs = sorted(np.linalg.eigvals(comp), key=lambda z: (z.real, z.imag))
-    k = math.frexp(max(abs(z) for z in eigs))[1]
-    r1, r2, r3 = (complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) for z in eigs)
-    disc = (((r1 - r2) * (r1 - r3) * (r2 - r3)) ** 2).real
-    with np.errstate(over="ignore"):
-        disc = float(np.ldexp(disc, 6 * k))
-    return tuple(complex(z) for z in eigs), disc
+    return tuple(complex(z) for z in eigs)

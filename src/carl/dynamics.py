@@ -266,7 +266,7 @@ def evolve(
     s : ScaledParams
         Control parameters (alpha and beta enter separately here).
     init : TrajectoryState
-        Initial state; ``init.tau`` is the starting time.
+        Initial state, every component finite; ``init.tau`` is the starting time.
     tau_end : float
         Final scaled time, finite, past ``init.tau`` and fewer than 2**53
         steps from it. If the span is not an integer number of steps, a
@@ -296,6 +296,9 @@ def evolve(
         raise ValueError(f"tau_end must be finite, got {tau_end}")
     if not math.isfinite(init.tau):
         raise ValueError(f"the initial tau must be finite, got {init.tau}")
+    for name in ("A1", "B", "Bdot"):
+        if not np.isfinite(value := getattr(init, name)):
+            raise ValueError(f"the initial {name} must be finite, got {value}")
     if not tau_end > init.tau:
         raise ValueError(f"tau_end ({tau_end}) must exceed the initial tau ({init.tau})")
     if output_stride < 1:

@@ -52,7 +52,9 @@ def spectrum_arrays(delta21, alpha_beta, eta):
     inside the tolerance band of a repeated root, where the class is not
     numerically meaningful. The inputs are checked as :class:`ScaledParams`
     checks them: a non-finite value, ``alpha_beta < 0`` or an ``eta`` other
-    than 0 or 1 (a bool included) raises ``ValueError`` naming the parameter.
+    than 0 or 1 (a bool included) raises ``ValueError`` naming the parameter,
+    and a constant term ``alpha_beta + eta*delta21`` past the float range
+    names all three at the first point where it is.
     """
     arrays = np.broadcast_arrays(np.asarray(delta21, dtype=float), np.asarray(alpha_beta, dtype=float), np.asarray(eta))
     d, ab, eta = (np.ravel(v) for v in arrays)
@@ -65,7 +67,11 @@ def spectrum_arrays(delta21, alpha_beta, eta):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite")
     with np.errstate(over="ignore"):
-        solved = solve_cubics(-d, -eta.astype(float), ab + eta * d)
+        constant = ab + eta * d
+    if not np.isfinite(constant).all():
+        i = np.isfinite(constant).argmin()
+        raise ValueError(f"alpha_beta + eta*delta21 must be finite, got delta21 = {d[i].item()!r}, alpha_beta = {ab[i].item()!r}, eta = {eta[i].item()!r}")
+    solved = solve_cubics(-d, -eta.astype(float), constant)
     lambdas = 1j * solved.roots
     unstable = ~solved.three_real
     # the pair's -imag member is the eigenvalue with real part +gamma

@@ -611,6 +611,19 @@ class TestBadOptionValues:
              ["error: [Errno 2] No such file or directory: 'missing/rev_r1.csv'\n"]),
             ("spectrum --alpha-beta 1 -o missing/s.json", ["error: [Errno 2] No such file or directory: 'missing/s.json'\n"]),
             (VALIDATE_ARGV + " -o missing/v.json", ["error: [Errno 2] No such file or directory: 'missing/v.json'\n"]),
+            # an initial state that is not finite is refused by its row, before any step
+            ("evolve --alpha-beta 1 --eta 1 --tau-end 1 --a1-seed nan -o x.csv",
+             ["'a1_seed' = 'nan' in options for mode 'evolve': must be finite"]),
+            ("evolve --alpha-beta 1 --eta 1 --tau-end 1 --a1-seed inf -o x.csv",
+             ["'a1_seed' = 'inf' in options for mode 'evolve': must be finite"]),
+            (EVOLVE_ARGV + " --tau-end 1 --b0=-inf", ["'b0' = '-inf' in options for mode 'evolve': must be finite"]),
+            ({"mode": "evolve", "scaled": SCALED_WAO, "options": {"tau_end": 1, "bdot0": [0, math.nan], "output": "traj.csv"}},
+             ["'bdot0' = [0, nan] in options for mode 'evolve': must be finite"]),
+            # a constant term alpha_beta + eta*delta21 past the float range names the control point
+            ("spectrum --delta21 1e308 --alpha-beta 1e308 --eta 1",
+             ["alpha_beta + eta*delta21 must be finite, got delta21 = 1e+308, alpha_beta = 1e+308, eta = 1"]),
+            ("curve --delta21 1e308 --axis alpha_beta --from 1e308 --to 1.5e308 --points 2 -o c.csv",
+             ["alpha_beta + eta*delta21 must be finite, got delta21 = 1e+308, alpha_beta = 1e+308, eta = 1"]),
         ],
         ids=["samples-0", "seed-negative", "ratios-strings", "resolution-string", "a1_seed-pair", "options-list",
              "points-fraction", "eta-fraction", "scaled-eta-fraction", "scaled-delta21-string",
@@ -630,7 +643,9 @@ class TestBadOptionValues:
              "results-empty", "points-flag-fraction", "alpha-beta-flag-word", "alpha-beta-flag-negative", "alpha-beta-flag-nan",
              "alpha-without-beta", "beta-without-alpha",
              "curve-missing-dir", "curve-json-missing-dir", "threshold-missing-dir", "evolve-missing-dir", "mass-study-missing-dir",
-             "spectrum-missing-dir", "validate-missing-dir"],
+             "spectrum-missing-dir", "validate-missing-dir",
+             "a1_seed-flag-nan", "a1_seed-flag-inf", "b0-flag-minus-inf", "bdot0-nan-pair",
+             "spectrum-constant-term-past-float", "curve-constant-term-past-float"],
     )
     def test_named_error_not_traceback(self, capsys, tmp_path, monkeypatch, run, named):
         monkeypatch.chdir(tmp_path)

@@ -5,6 +5,7 @@ reference of ``exp(tau*M)`` next to the threshold, where two eigenvalues
 nearly coincide.
 """
 
+import dataclasses
 import io
 import math
 import re
@@ -115,6 +116,15 @@ class TestEvolveMechanics:
                 evolve(p, SEED_STATE, tau_end=bad)
         with pytest.raises(ValueError, match="initial tau must be finite, got -inf"):
             evolve(p, TrajectoryState(-math.inf, SEED_STATE.A1, 0j, 0j), tau_end=1.0)
+
+    @pytest.mark.parametrize("name", ["A1", "B", "Bdot"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_initial_state_is_a_named_error(self, name, bad):
+        # a seed that is not finite is refused before any step, not reported as an overflow
+        p = ScaledParams.from_product(0.0, 1.0, WAO)
+        state = dataclasses.replace(TrajectoryState(0.0, SEED_STATE.A1, 0j, 0j), **{name: bad})
+        with pytest.raises(ValueError, match=re.escape(f"the initial {name} must be finite, got {bad}")):
+            evolve(p, state, tau_end=1.0)
 
     def test_taus_strictly_increasing_and_stride(self):
         p = ScaledParams.from_product(0.0, 1.0, WAO)

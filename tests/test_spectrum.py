@@ -500,6 +500,9 @@ class TestSpectrumArrays:
             ((0.0, 1.0, [0, 2]), "eta must be exactly 0 (RAO) or 1 (WAO), got 2"),
             ((0.0, 1.0, True), "eta must be exactly 0 (RAO) or 1 (WAO), got True"),
             ((0.0, 1.0, [False, True]), "eta must be exactly 0 (RAO) or 1 (WAO), got False"),
+            # the constant term of the cubic overflows while every input is finite
+            (([0.0, 1e308], [1.0, 1e308], WAO),
+             "alpha_beta + eta*delta21 must be finite, got delta21 = 1e+308, alpha_beta = 1e+308, eta = 1"),
         ],
     )
     def test_bad_inputs_are_named_errors(self, args, message):

@@ -32,7 +32,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from carl.params import PhysicalParams, ScaledParams, to_scaled
 from carl.spectrum import _ALPHA_BETA_MAX, _ALPHA_BETA_MIN, _DELTA21_MAX, spectrum_arrays
 from carl.sweep import (
     _CSV_COLUMNS,
+    _inspect_result_csv,
     AXES,
     REGIMES,
     SweepSpec,
@@ -250,10 +251,7 @@ def _report(lines: List[str], doc: Dict, out: Optional[str]) -> None:
 def _run_spectrum(params: ScaledParams, options: Dict) -> int:
     lambdas, gamma, case, boundary = (v[0].tolist() for v in spectrum_arrays(params.delta21, params.alpha_beta, params.eta))
     doc = {
-        "delta21": params.delta21,
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "eta": params.eta,
+        **asdict(params),
         "alpha_beta": params.alpha_beta,
         "gamma": gamma,
         "case": case,
@@ -480,104 +478,7 @@ def execute(config: Dict) -> int:
 # gnuplot script emission
 # ---------------------------------------------------------------------------
 
-
-_READ = 1 << 16  # bytes read at a time by the result-file scan
-
-
-def _line_blocks(f, path: str) -> Iterator[bytes]:
-    """The bytes of ``f`` in blocks of whole lines, each ending in LF; CRLF and CR line ends read as LF.
-
-    Each block must be UTF-8, else a :class:`ConfigError` names ``path`` and
-    the bad bytes by their offset in the file. No UTF-8 sequence holds an LF
-    or CR byte, so a block decodes as it does within the whole file. A CRLF
-    pair that a read cuts reads as one more empty line. A line longer than a
-    read grows in place, in time linear in its length.
-    """
-    rest, offset, data = bytearray(), 0, None
-    while data != b"":
-        data = f.read(_READ)
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-        # the read's whole lines, or at the end of the file the unfinished last line
-        rest += data[:cut] if cut else data
-        block, rest = (bytes(rest), bytearray(data[cut:])) if cut or not data else (b"", rest)
-        if not block:
-            continue
-        try:
-            block.decode()
-        except UnicodeDecodeError as exc:
-            start, bad = offset + exc.start, exc.object[exc.start:exc.end]
-            where = f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1 else f"bytes in position {start}-{start + len(bad) - 1}"
-            raise ConfigError(f"cannot read result file {path!r}: 'utf-8' codec can't decode {where}: {exc.reason}") from exc
-        offset += len(block)
-        if b"\r" in block:
-            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        yield block if data else block + b"\n"
-
-
-def _inspect_result_csv(path: str) -> Dict:
-    """Schema check a sweep CSV; returns its meta, its plotted regimes and its row count.
-
-    The file is read once, as bytes, in blocks of whole lines of about
-    :data:`_READ` bytes (:func:`_line_blocks`: CRLF and CR line ends read as
-    LF, and every byte must be UTF-8). Each block is scanned as a byte array:
-    a line is empty, a ``#`` comment (parsed into meta) or, after the
-    header, a row. Only the comment lines, the header and the first row of
-    each regime are handled one at a time, so memory holds one block, its
-    arrays and at most the longest line, however many lines the file has.
-    ``regimes`` holds RAO and WAO only, the regimes the script draws, in
-    the order of their first rows.
-    """
-    meta: Dict = {}
-    header, n_rows = None, 0
-    firsts: Dict[str, Tuple[int, int]] = {}  # regime -> (block, offset) of its first row
-    try:
-        with open(path, "rb") as f:
-            for number, data in enumerate(_line_blocks(f, path)):
-                view = np.frombuffer(b"\n" + data, np.uint8)
-                starts = view[:-1] == 10  # a line of data starts at byte i
-                heads = view[1:][starts]  # the first byte of each line
-                comments = np.flatnonzero(heads == 35)
-                skipped = int(np.count_nonzero(heads == 10)) + comments.size
-                begin = 0
-                if header is None:
-                    others = np.flatnonzero((heads != 10) & (heads != 35))
-                    if others.size:
-                        at = int(np.flatnonzero(starts)[others[0]])
-                        begin = data.index(b"\n", at)
-                        header = data[at:begin].decode()
-                        got, columns = [c.strip() for c in header.split(",")], _CSV_COLUMNS.split(",")
-                        if got != columns:  # the script reads the columns by position
-                            missing = [c for c in columns if c not in got]
-                            raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}" if missing
-                                              else f"{path}: result file columns must be {_CSV_COLUMNS}, got {','.join(got)}")
-                        skipped += 1
-                for at in np.flatnonzero(starts)[comments] if comments.size else ():  # one int at a time, not a list of them
-                    body = data[at + 1:data.index(b"\n", at)].decode().strip()
-                    if ":" in body:
-                        key, _, raw = body.partition(":")
-                        try:
-                            meta[key.strip()] = json.loads(raw.strip())
-                        except json.JSONDecodeError:
-                            meta[key.strip()] = raw.strip()
-                if header is None:
-                    continue
-                n_rows += heads.size - skipped
-                for regime in REGIMES:
-                    # by its first letter: a one-byte find runs as a memchr, and no other cell of a sweep file holds R or W
-                    name = regime.encode()
-                    hit = data.find(name[:1], begin) if regime not in firsts else -1
-                    while hit >= 0:  # the first row whose third cell is the regime; a hit elsewhere goes on after its line
-                        line_start, line_end = data.rfind(b"\n", 0, hit) + 1, data.index(b"\n", hit)
-                        cells = data[line_start:line_end].split(b",", 3)
-                        if data[line_start] != 35 and len(cells) > 2 and cells[2] == name:
-                            firsts[regime] = (number, hit)
-                            break
-                        hit = data.find(name[:1], line_end)
-    except OSError as exc:
-        raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
-    if n_rows == 0:
-        raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
-    return {"meta": meta, "regimes": sorted(firsts, key=firsts.get), "rows": n_rows}
+_AT = {name: k + 1 for k, name in enumerate(_CSV_COLUMNS.split(","))}  # gnuplot's number of each sweep CSV column
 
 
 def _spec(info: Dict) -> Dict:
@@ -635,7 +536,7 @@ def emit_plot_script(result_paths: Sequence[str], style: str, out_path: str) -> 
                 continue
             dash = " dashtype 2" if regime == "RAO" else ""
             plot_clauses.append(
-                f"  {_quoted(path)} using 2:(strcol(3) eq '{regime}' ? column(4) : NaN) "
+                f"  {_quoted(path)} using {_AT['axis_value']}:(strcol({_AT['regime']}) eq '{regime}' ? column({_AT['gamma']}) : NaN) "
                 f"with lines lw 2{dash} title {_quoted(f'{regime} {label}')}"
             )
     if not plot_clauses:  # a plot command with no clause is a gnuplot error

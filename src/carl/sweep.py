@@ -13,6 +13,10 @@ from whole arrays, in blocks of rows. A JSON record is a row whose fixed
 text is the record's keys and braces; only ``meta`` goes through
 ``json.dumps`` whole.
 
+The sweep CSV is also read back here, for ``carl plot-script``:
+:func:`_inspect_result_csv` checks a file's header against the columns the
+writer writes and returns its ``#`` meta lines, its regimes and its row count.
+
 The threshold map needs no root finding on a grid: the stability boundary is
 the graph of the closed-form critical alpha*beta over delta21 (the
 nonnegative root of the discriminant, a quadratic in alpha*beta), evaluated
@@ -27,7 +31,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -348,11 +352,15 @@ def _fields(result: SweepResult, keys: Sequence[str], spell) -> List:
     return [columns[key] if key in _TEXT_COLUMNS else np.asarray(columns[key], dtype=float) for key in keys]
 
 
+def _meta_lines(meta: Dict) -> List[str]:
+    """The ``# key: json`` lines that open a CSV file, in key order."""
+    return [f"# {key}: {json.dumps(meta[key], sort_keys=True)}\n" for key in sorted(meta)]
+
+
 def write_sweep_csv(result: SweepResult, path_or_file: PathOrFile) -> None:
     """Tabulate a sweep as CSV with ``#`` metadata lines and a header row."""
     with text_sink(path_or_file) as f:
-        for key in sorted(result.meta):
-            f.write(f"# {key}: {json.dumps(result.meta[key], sort_keys=True)}\n")
+        f.writelines(_meta_lines(result.meta))
         f.write(_CSV_COLUMNS + "\n")
         f.writelines(csv_rows(_fields(result, _CSV_COLUMNS.split(","), str), len(result.axis)))
 
@@ -380,6 +388,7 @@ def write_sweep_json(result: SweepResult, path_or_file: PathOrFile) -> None:
             text = block
         f.write(text[:-2] + ("\n  ]" if n else "]") + "\n}\n")  # the last record is followed by no comma
 
+
 def write_polylines_csv(
     polylines: Sequence[np.ndarray],
     path_or_file: PathOrFile,
@@ -388,10 +397,115 @@ def write_polylines_csv(
 ) -> None:
     """Write threshold-boundary polylines as CSV (branch_id, delta21, alpha_beta)."""
     with text_sink(path_or_file) as f:
-        for key in sorted(meta or {}):
-            f.write(f"# {key}: {json.dumps(meta[key], sort_keys=True)}\n")
+        f.writelines(_meta_lines(meta or {}))
         f.write("branch_id,delta21,alpha_beta\n")
         lines = [np.asarray(line, dtype=float).reshape(len(line), 2) for line in polylines]
         points = np.concatenate(lines) if lines else np.zeros((0, 2))
         branch = np.repeat(np.arange(len(lines)), [len(line) for line in lines])
         f.writelines(csv_rows([branch, points[:, 0], points[:, 1]], len(points)))
+
+
+# ---------------------------------------------------------------------------
+# reading a sweep CSV back
+# ---------------------------------------------------------------------------
+
+_READ = 1 << 16  # bytes read at a time by the result-file scan
+
+
+def _line_blocks(f, path: str) -> Iterator[bytes]:
+    """The bytes of ``f`` in blocks of whole lines, each ending in LF; CRLF and CR line ends read as LF.
+
+    Each block must be UTF-8, else a ``ValueError`` names ``path`` and the
+    bad bytes by their offset in the file. No UTF-8 sequence holds an LF or
+    CR byte, so a block decodes as it does within the whole file. A CRLF
+    pair that a read cuts reads as one more empty line. A line longer than a
+    read grows in place, in time linear in its length.
+    """
+    rest, offset, data = bytearray(), 0, None
+    while data != b"":
+        data = f.read(_READ)
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        # the read's whole lines, or at the end of the file the unfinished last line
+        rest += data[:cut] if cut else data
+        block, rest = (bytes(rest), bytearray(data[cut:])) if cut or not data else (b"", rest)
+        if not block:
+            continue
+        try:
+            block.decode()
+        except UnicodeDecodeError as exc:
+            start, bad = offset + exc.start, exc.object[exc.start:exc.end]
+            where = f"byte 0x{bad[0]:02x} in position {start}" if len(bad) == 1 else f"bytes in position {start}-{start + len(bad) - 1}"
+            raise ValueError(f"cannot read result file {path!r}: 'utf-8' codec can't decode {where}: {exc.reason}") from exc
+        offset += len(block)
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield block if data else block + b"\n"
+
+
+def _inspect_result_csv(path: str) -> Dict:
+    """Schema check a sweep CSV; returns its meta, its plotted regimes and its row count.
+
+    The file is read once, as bytes, in blocks of whole lines of about
+    :data:`_READ` bytes (:func:`_line_blocks`: CRLF and CR line ends read as
+    LF, and every byte must be UTF-8). Each block is scanned as a byte array:
+    a line is empty, a ``#`` comment (parsed into meta) or, after the
+    header, a row. Only the comment lines, the header and the first row of
+    each regime are handled one at a time, and a row's regime is found by
+    its commas, not by splitting the row, so memory holds one block, its
+    arrays and at most the longest line, however many lines the file has.
+    ``regimes`` holds RAO and WAO only, the regimes a plot script draws, in
+    the order of their first rows. A file that cannot be read, or is not a
+    sweep CSV with rows, is a ``ValueError``.
+    """
+    meta: Dict = {}
+    header, n_rows = None, 0
+    firsts: Dict[str, Tuple[int, int]] = {}  # regime -> (block, offset) of its first row
+    try:
+        with open(path, "rb") as f:
+            for number, data in enumerate(_line_blocks(f, path)):
+                view = np.frombuffer(data, np.uint8)
+                starts = np.concatenate(([0], np.flatnonzero(view[:-1] == 10) + 1))  # where each line starts
+                heads = view[starts]  # the first byte of each line
+                comments = np.flatnonzero(heads == 35)
+                skipped = int(np.count_nonzero(heads == 10)) + comments.size
+                begin = 0
+                if header is None:
+                    others = np.flatnonzero((heads != 10) & (heads != 35))
+                    if others.size:
+                        at = int(starts[others[0]])
+                        begin = data.index(b"\n", at)
+                        header = data[at:begin].decode()
+                        got, columns = [c.strip() for c in header.split(",")], _CSV_COLUMNS.split(",")
+                        if got != columns:  # a plot script reads the columns by position
+                            missing = [c for c in columns if c not in got]
+                            raise ValueError(f"{path}: result file is missing column(s): {', '.join(missing)}" if missing
+                                             else f"{path}: result file columns must be {_CSV_COLUMNS}, got {','.join(got)}")
+                        skipped += 1
+                for at in starts[comments] if comments.size else ():  # one int at a time, not a list of them
+                    body = data[at + 1:data.index(b"\n", at)].decode().strip()
+                    if ":" in body:
+                        key, _, raw = body.partition(":")
+                        try:
+                            meta[key.strip()] = json.loads(raw.strip())
+                        except json.JSONDecodeError:
+                            meta[key.strip()] = raw.strip()
+                if header is None:
+                    continue
+                n_rows += heads.size - skipped
+                for regime in REGIMES:
+                    # by its first letter: a one-byte find runs as a memchr, and no other cell of a sweep file holds R or W
+                    name = regime.encode()
+                    hit = data.find(name[:1], begin) if regime not in firsts else -1
+                    while hit >= 0:  # the first row whose third cell is the regime; a hit elsewhere goes on after its line
+                        line_start, line_end = data.rfind(b"\n", 0, hit) + 1, data.index(b"\n", hit)
+                        comma = data.find(b",", line_start, line_end)
+                        comma = data.find(b",", comma + 1, line_end) if comma >= 0 else -1  # the one before the third cell
+                        if data[line_start] != 35 and comma >= 0 and data.startswith(name, comma + 1, line_end) and data[comma + 1 + len(name)] in b",\n":
+                            firsts[regime] = (number, hit)
+                            break
+                        hit = data.find(name[:1], line_end)
+    except OSError as exc:
+        raise ValueError(f"cannot read result file {path!r}: {exc}") from exc
+    if n_rows == 0:
+        raise ValueError(f"{path}: result file contains no data rows; nothing to plot")
+    return {"meta": meta, "regimes": sorted(firsts, key=firsts.get), "rows": n_rows}

@@ -23,13 +23,13 @@ from carl.cli import (
     REQUIRED,
     ConfigError,
     _config_from_args,
-    _inspect_result_csv,
     _parse_args,
     _ROWS,
     build_parser,
     emit_plot_script,
     main,
 )
+from carl.sweep import SweepSpec, _inspect_result_csv, gain_curve, write_sweep_csv
 
 GAMMA_WAO_AB1 = 0.56227951206230124
 
@@ -1092,17 +1092,17 @@ def _inspect_by_lines(path):
                     got, columns = [c.strip() for c in line.split(",")], carl.sweep._CSV_COLUMNS.split(",")
                     if got != columns:
                         missing = [c for c in columns if c not in got]
-                        raise ConfigError(f"{path}: result file is missing column(s): {', '.join(missing)}" if missing
-                                          else f"{path}: result file columns must be {carl.sweep._CSV_COLUMNS}, got {','.join(got)}")
+                        raise ValueError(f"{path}: result file is missing column(s): {', '.join(missing)}" if missing
+                                         else f"{path}: result file columns must be {carl.sweep._CSV_COLUMNS}, got {','.join(got)}")
                 else:
                     n_rows += 1
                     cells = line.split(",", 3)
                     if len(cells) > 2 and cells[2] in ("RAO", "WAO") and cells[2] not in regimes:
                         regimes.append(cells[2])
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read result file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read result file {path!r}: {exc}") from exc
     if n_rows == 0:
-        raise ConfigError(f"{path}: result file contains no data rows; nothing to plot")
+        raise ValueError(f"{path}: result file contains no data rows; nothing to plot")
     return {"meta": meta, "regimes": regimes, "rows": n_rows}
 
 
@@ -1110,8 +1110,8 @@ def _outcome(inspect, path):
     """What ``inspect`` returns as JSON text, which refuses a numpy integer in place of an int, or its error."""
     try:
         return json.dumps(inspect(path))
-    except ConfigError as exc:
-        return f"ConfigError: {exc}"
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 # the lines a result file is drawn from: meta, comments and blank lines anywhere, the header (padded or not,
@@ -1282,12 +1282,12 @@ class TestPlotScript:
     def test_inspect_header_without_rows_and_missing_file(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(f"# spec: {{}}\n{self.HEADER}\n\n# late: 1\n")
-        with pytest.raises(ConfigError, match="no data rows"):
+        with pytest.raises(ValueError, match="no data rows"):
             _inspect_result_csv(str(path))
         path.write_text("# spec: {}\n\n")
-        with pytest.raises(ConfigError, match="no data rows"):
+        with pytest.raises(ValueError, match="no data rows"):
             _inspect_result_csv(str(path))
-        with pytest.raises(ConfigError, match="cannot read result file"):
+        with pytest.raises(ValueError, match="cannot read result file"):
             _inspect_result_csv(str(tmp_path / "absent.csv"))
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -1304,6 +1304,39 @@ class TestPlotScript:
             tracemalloc.stop()
         assert info["rows"] == 10**5 and info["regimes"] == ["RAO", "WAO"]
         assert peak <= 1e6
+
+    @pytest.mark.parametrize("long", ["last", "axis_value"])
+    def test_long_line_costs_at_most_two_copies(self, tmp_path, long):
+        # one 4 MiB row, its long cell after or before the regime: the scan holds the line read and one copy of it
+        size = 4 * 2**20
+        cells = self.ROW.format("WAO").split(",")
+        at = -1 if long == "last" else 1
+        cells[at] += "1" * (size - len(",".join(cells)) - 1)
+        path = tmp_path / "long.csv"
+        path.write_text(f"{self.HEADER}\n{','.join(cells)}\n")
+        assert path.stat().st_size == len(self.HEADER) + 1 + size
+        tracemalloc.start()
+        try:
+            info = _inspect_result_csv(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info["rows"] == 1 and info["regimes"] == ["WAO"]
+        assert peak <= 2.5 * size
+
+    def test_gnuplot_columns_are_the_writers(self, tmp_path):
+        # each clause's using A:(strcol(B) eq 'R' ? column(C) : NaN) picks the axis and the growth rate of R's rows
+        result = gain_curve(SweepSpec("delta21", -2.0, 6.0, 21, 1.0))
+        path, script = tmp_path / "r.csv", tmp_path / "r.gp"
+        write_sweep_csv(result, str(path))
+        emit_plot_script([str(path)], "fig1", str(script))
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:] if not line.startswith("#")]
+        clauses = re.findall(r"using (\d+):\(strcol\((\d+)\) eq '(\w+)' \? column\((\d+)\) : NaN\)", script.read_text())
+        assert [clause[2] for clause in clauses] == ["RAO", "WAO"]
+        for a, b, regime, c in clauses:
+            picked = [(float(row[int(a) - 1]), float(row[int(c) - 1])) for row in rows if row[int(b) - 1] == regime]
+            mine = result.regime == regime
+            assert picked == list(zip(result.axis[mine].tolist(), result.gamma[mine].tolist()))
 
     def test_decode_error_names_the_byte_in_the_file(self, capsys, tmp_path):
         # a text read names the offset within the read it decodes, not within the file
@@ -1327,8 +1360,8 @@ class TestPlotScript:
         path.write_bytes(data)
         with pytest.raises(UnicodeDecodeError) as whole:
             data.decode("utf-8")
-        monkeypatch.setattr(carl.cli, "_READ", size)
-        with pytest.raises(ConfigError) as exc:
+        monkeypatch.setattr(carl.sweep, "_READ", size)
+        with pytest.raises(ValueError) as exc:
             _inspect_result_csv(str(path))
         assert str(exc.value) == f"cannot read result file {str(path)!r}: {whole.value}"
 
@@ -1350,9 +1383,9 @@ class TestPlotScript:
             path = os.path.join(tmp, "r.csv")
             with open(path, "wb") as f:
                 f.write(bad)
-            for size in (1, 2, 7, carl.cli._READ):
-                mp.setattr(carl.cli, "_READ", size)
-                with pytest.raises(ConfigError) as exc:
+            for size in (1, 2, 7, carl.sweep._READ):
+                mp.setattr(carl.sweep, "_READ", size)
+                with pytest.raises(ValueError) as exc:
                     _inspect_result_csv(path)
                 assert str(exc.value) == f"cannot read result file {path!r}: {whole.value}", size
 
@@ -1392,8 +1425,8 @@ class TestPlotScript:
             with open(path, "wb") as f:
                 f.write(text.encode("utf-8"))
             expected = _outcome(_inspect_by_lines, path)
-            for size in (1, 2, 7, carl.cli._READ):
-                mp.setattr(carl.cli, "_READ", size)
+            for size in (1, 2, 7, carl.sweep._READ):
+                mp.setattr(carl.sweep, "_READ", size)
                 assert _outcome(_inspect_result_csv, path) == expected, size
 
 
